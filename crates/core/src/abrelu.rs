@@ -74,9 +74,14 @@ pub fn sign_from_codes(codes: &[u64]) -> bool {
 /// compared values (the classic `memcmp` timing leak).
 fn sign_flag(sign_cmp: u64, code1: u64, tail: &[u64]) -> u64 {
     // First non-EQ code of code1 ‖ tail: once `rest` leaves EQ it sticks.
+    // The flag goes through `black_box`: left transparent, release builds
+    // lower the select to "skip the load of `c` unless `rest == EQ`" — a
+    // secret-dependent branch the timing harness picks up at some code
+    // layouts.
     let mut rest = code1;
     for &c in tail {
-        rest = ct::select(ct::eq(rest, EQ), c, rest);
+        let undecided = std::hint::black_box(ct::eq(rest, EQ));
+        rest = ct::select(undecided, c, rest);
     }
     // Same quadrant: x > 0 ⟺ v > u ⟺ rest == LT; mixed quadrants: the
     // mod-Q wrap inverts the comparison (rest == GT). When every group ties

@@ -30,6 +30,7 @@
 //! Table 5 operator profile can be read directly off the channel stats.
 
 use crate::abrelu::{mux_by_receiver, secure_sign};
+use crate::ops::PoolPlan;
 use crate::prepared::PreparedModel;
 use crate::{PartyContext, ProtocolError, ReluMode};
 use aq2pnn_nn::quant::{QuantModel, QuantOp};
@@ -129,46 +130,53 @@ pub fn run_party(
     prepared.run(ctx, input)
 }
 
-/// Tournament 2PC-MaxPool over precomputed windows: `⌈log₂(k²)⌉` batched
-/// comparison rounds, `k²−1` comparisons per output in total.
-pub(crate) fn secure_max_windows(
+/// Tournament 2PC-MaxPool of `b` stacked images over the layer's
+/// precomputed [`PoolPlan`]: one batched comparison round per level, all
+/// in one slot buffer — the plan's per-image indices are offset
+/// arithmetically per image, image-major, so the pair order (and the wire
+/// transcript) is that of `b` sequential single-image tournaments
+/// concatenated level by level.
+pub(crate) fn secure_max_pool(
     ctx: &mut PartyContext,
     x: &AShare,
-    windows: &[Vec<usize>],
+    plan: &PoolPlan,
+    b: usize,
 ) -> Result<AShare, ProtocolError> {
     let ring = x.ring();
     let xs = x.as_tensor().as_slice();
-    // Candidate lists (this party's share values).
-    let mut lists: Vec<Vec<u64>> =
-        windows.iter().map(|w| w.iter().map(|&i| xs[i]).collect()).collect();
-    while lists.iter().any(|l| l.len() > 1) {
-        // Pair up within each list.
-        let mut a_vals = Vec::new();
-        let mut b_vals = Vec::new();
-        for l in &lists {
-            let pairs = l.len() / 2;
-            for p in 0..pairs {
-                a_vals.push(l[2 * p]);
-                b_vals.push(l[2 * p + 1]);
+    let (item, slots) = (xs.len() / b, plan.gather.len());
+    // This party's share of every candidate.
+    let mut work = Vec::with_capacity(b * slots);
+    for i in 0..b {
+        work.extend(plan.gather.iter().map(|&g| xs[i * item + g]));
+    }
+    for level in &plan.levels {
+        let n = b * level.pairs.len();
+        let (mut a_vals, mut b_vals) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for i in 0..b {
+            for &(src, _) in &level.pairs {
+                a_vals.push(work[i * slots + src]);
+                b_vals.push(work[i * slots + src + 1]);
             }
         }
-        let a = AShare::from_tensor(RingTensor::from_raw(ring, vec![a_vals.len()], a_vals)?);
-        let b = AShare::from_tensor(RingTensor::from_raw(ring, vec![b_vals.len()], b_vals)?);
-        let maxes = secure_max_pairs(ctx, &a, &b)?;
-        // Rebuild lists with winners + carried odd elements.
-        let mv = maxes.as_tensor().as_slice();
-        let mut cursor = 0usize;
-        for l in &mut lists {
-            let pairs = l.len() / 2;
-            let mut next: Vec<u64> = mv[cursor..cursor + pairs].to_vec();
-            cursor += pairs;
-            if l.len() % 2 == 1 {
-                next.push(l[l.len() - 1]);
+        let a = AShare::from_tensor(RingTensor::from_raw(ring, vec![n], a_vals)?);
+        let b_sh = AShare::from_tensor(RingTensor::from_raw(ring, vec![n], b_vals)?);
+        let maxes = secure_max_pairs(ctx, &a, &b_sh)?;
+        let winners = maxes.as_tensor().as_slice();
+        let per = level.pairs.len();
+        for i in 0..b {
+            for (j, &(_, dst)) in level.pairs.iter().enumerate() {
+                work[i * slots + dst] = winners[i * per + j];
             }
-            *l = next;
+            for &(from, to) in &level.carries {
+                work[i * slots + to] = work[i * slots + from];
+            }
         }
     }
-    let data: Vec<u64> = lists.iter().map(|l| l[0]).collect();
+    let mut data = Vec::with_capacity(b * plan.starts.len());
+    for i in 0..b {
+        data.extend(plan.starts.iter().map(|&s| work[i * slots + s]));
+    }
     Ok(AShare::from_tensor(RingTensor::from_raw(ring, vec![data.len()], data)?))
 }
 
@@ -245,4 +253,83 @@ pub fn max_fan_in(model: &QuantModel) -> u64 {
         m
     }
     walk(&model.ops)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::abrelu::abrelu;
+    use crate::sim::run_pair;
+    use crate::ProtocolConfig;
+    use aq2pnn_sharing::PartyId;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The identity behind pool-before-ReLU (DESIGN.md §7.6), on the
+        /// live protocol: `abrelu ∘ maxpool` and `maxpool ∘ abrelu` yield
+        /// identical *shares* under `RevealedSign` and identical values
+        /// under `MaskedMux`, for padded and overlapping windows, batched
+        /// and not, at any thread count. Values span a few units around 0
+        /// so ties, zeros and all-negative windows are common.
+        #[test]
+        fn pool_then_relu_equals_relu_then_pool(
+            seed in 0u64..10_000,
+            geom in 0usize..3,
+            batched in any::<bool>(),
+            masked in any::<bool>(),
+            many_threads in any::<bool>(),
+            spread in 1i64..128,
+        ) {
+            let (k, stride, pad) = [(2, 2, 0), (3, 2, 1), (3, 2, 0)][geom];
+            let (c, hw) = (4usize, 13usize);
+            let out = (hw + 2 * pad - k) / stride + 1;
+            let plan = PoolPlan::new(c, (hw, hw), k, stride, pad, (out, out));
+            let b = if batched { 4 } else { 1 };
+            let mut cfg = ProtocolConfig::paper(16);
+            if masked {
+                cfg.relu_mode = ReluMode::MaskedMux;
+            }
+            let ring = cfg.q2();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let vals: Vec<i64> =
+                (0..b * c * hw * hw).map(|_| rng.gen_range(-spread..=spread)).collect();
+            let t = RingTensor::from_signed(ring, vec![b * c, hw, hw], &vals).unwrap();
+            let (s0, s1) = AShare::share(&t, &mut rng);
+            std::env::set_var("AQ2PNN_THREADS", if many_threads { "4" } else { "1" });
+            let ((spec0, low0), (spec1, low1)) = run_pair(&cfg, move |ctx| {
+                let x = match ctx.id {
+                    PartyId::User => s0.clone(),
+                    PartyId::ModelProvider => s1.clone(),
+                };
+                let rectified = abrelu(ctx, &x).unwrap();
+                let spec = secure_max_pool(ctx, &rectified, &plan, b).unwrap();
+                let pooled = secure_max_pool(ctx, &x, &plan, b).unwrap();
+                let lowered = abrelu(ctx, &pooled).unwrap();
+                (spec, lowered)
+            });
+            std::env::remove_var("AQ2PNN_THREADS");
+            if !masked {
+                prop_assert_eq!(spec0.as_tensor(), low0.as_tensor());
+                prop_assert_eq!(spec1.as_tensor(), low1.as_tensor());
+            }
+            let spec = AShare::recover(&spec0, &spec1).unwrap().to_signed();
+            let lowered = AShare::recover(&low0, &low1).unwrap().to_signed();
+            prop_assert_eq!(&spec, &lowered);
+            // Both equal the plaintext relu(max(window)).
+            let item = c * hw * hw;
+            let want: Vec<i64> = (0..b)
+                .flat_map(|i| {
+                    let vals = &vals;
+                    crate::ops::pool_windows(c, (hw, hw), k, stride, pad, (out, out))
+                        .into_iter()
+                        .map(move |w| w.iter().map(|&ix| vals[i * item + ix]).max().unwrap().max(0))
+                })
+                .collect();
+            prop_assert_eq!(lowered, want);
+        }
+    }
 }

@@ -5,12 +5,17 @@
 //! comparison work and party-to-party exchanges. The byte counts use the
 //! same bit-packed wire format as the live engine, so
 //! [`Program::user_bytes_sent`] must equal the engine's measured channel
-//! statistics — a consistency the integration tests assert. The FPGA
+//! statistics — a consistency the integration tests assert; to that end
+//! the compilers walk the engine's execution order ([`crate::lower`]) and
+//! its max-pool tournament plan, not the spec's. The FPGA
 //! simulator (`aq2pnn-accel`) consumes the program for cycle-accurate-ish
 //! timing.
 
+use crate::lower::Lowering;
+use crate::ops::PoolPlan;
 use crate::{PipelineMode, ProtocolConfig, ReluMode};
 use aq2pnn_nn::quant::{QuantModel, QuantOp};
+use aq2pnn_ring::HEADROOM_BITS;
 use aq2pnn_sharing::a2b::group_widths;
 use aq2pnn_transport::packed_len;
 use serde::{Deserialize, Serialize};
@@ -229,7 +234,8 @@ impl Program {
 pub fn compile(model: &QuantModel, cfg: &ProtocolConfig) -> Program {
     let mut instrs = Vec::new();
     let mut idx = 0usize;
-    compile_ops(&model.ops, cfg, &mut idx, &mut instrs);
+    let lowering = Lowering::new(cfg.q1_bits, model.act_bits);
+    compile_ops(&model.ops, lowering, cfg, &mut idx, &mut instrs);
     // Final logit reveal.
     let out = crate::engine::output_len(model);
     let bytes = packed_len(act_bits(cfg), out) as u64;
@@ -297,9 +303,23 @@ fn sign_instrs(label: &str, n: u64, cfg: &ProtocolConfig, select_elems: u64) -> 
     v
 }
 
+/// One comparison batch per level of the engine's max-pool tournament.
+fn pool_instrs(i: usize, plan: &PoolPlan, cfg: &ProtocolConfig, out: &mut Vec<Instr>) {
+    for (round, level) in plan.levels.iter().enumerate() {
+        let pairs = level.pairs.len() as u64;
+        out.extend(sign_instrs(&format!("maxpool{i}.r{round}"), pairs, cfg, pairs));
+    }
+}
+
 #[allow(clippy::too_many_lines)]
-fn compile_ops(ops: &[QuantOp], cfg: &ProtocolConfig, idx: &mut usize, out: &mut Vec<Instr>) {
-    for op in ops {
+fn compile_ops(
+    ops: &[QuantOp],
+    lowering: Lowering,
+    cfg: &ProtocolConfig,
+    idx: &mut usize,
+    out: &mut Vec<Instr>,
+) {
+    for op in lowering.order(ops) {
         let i = *idx;
         *idx += 1;
         match op {
@@ -369,18 +389,8 @@ fn compile_ops(ops: &[QuantOp], cfg: &ProtocolConfig, idx: &mut usize, out: &mut
                 out.extend(sign_instrs(&format!("abrelu{i}"), n, cfg, n));
             }
             QuantOp::MaxPool { k, stride, pad, c, in_hw, out_hw } => {
-                // Tournament rounds with exact list-size bookkeeping.
-                let windows = crate::ops::pool_windows(*c, *in_hw, *k, *stride, *pad, *out_hw);
-                let mut lens: Vec<usize> = windows.iter().map(Vec::len).collect();
-                let mut round = 0usize;
-                while lens.iter().any(|&l| l > 1) {
-                    let pairs: u64 = lens.iter().map(|&l| (l / 2) as u64).sum();
-                    out.extend(sign_instrs(&format!("maxpool{i}.r{round}"), pairs, cfg, pairs));
-                    for l in &mut lens {
-                        *l = *l / 2 + *l % 2;
-                    }
-                    round += 1;
-                }
+                let plan = PoolPlan::new(*c, *in_hw, *k, *stride, *pad, *out_hw);
+                pool_instrs(i, &plan, cfg, out);
                 // Tag the pool's output size for downstream `Relu` sizing.
                 out.push(Instr::Alu {
                     kind: AluKind::Select,
@@ -402,9 +412,9 @@ fn compile_ops(ops: &[QuantOp], cfg: &ProtocolConfig, idx: &mut usize, out: &mut
                 out.push(Instr::Alu { kind: AluKind::MulShift, elems: n });
             }
             QuantOp::Residual { main, shortcut } => {
-                compile_ops(main, cfg, idx, out);
+                compile_ops(main, lowering, cfg, idx, out);
                 let m_elems = last_output_elems(out);
-                compile_ops(shortcut, cfg, idx, out);
+                compile_ops(shortcut, lowering, cfg, idx, out);
                 out.push(Instr::Alu { kind: AluKind::Add, elems: m_elems });
             }
         }
@@ -449,7 +459,7 @@ pub fn compile_spec_per_layer(
     cfg: &ProtocolConfig,
     weight_bits: u32,
 ) -> Result<Program, String> {
-    let value_bits = cfg.q1_bits.saturating_sub(aq2pnn_ring::HEADROOM_BITS);
+    let value_bits = cfg.q1_bits.saturating_sub(HEADROOM_BITS);
     let mut p = compile_spec_inner(spec, cfg, Some((value_bits, weight_bits)))?;
     p.name = format!("{}-per-layer", p.name);
     Ok(p)
@@ -463,7 +473,11 @@ fn compile_spec_inner(
     spec.infer_shapes().map_err(|e| e.to_string())?;
     let mut instrs = Vec::new();
     let mut idx = 0usize;
-    let out_shape = compile_spec_ops(&spec.ops, spec.input, cfg, per_layer, &mut idx, &mut instrs)?;
+    // A spec carries no value width: it is costed under the paper's
+    // recommended plan (value bits = Q1 − headroom), like `per_layer`.
+    let lowering = Lowering::new(cfg.q1_bits, cfg.q1_bits.saturating_sub(HEADROOM_BITS));
+    let out_shape =
+        compile_spec_ops(&spec.ops, spec.input, lowering, cfg, per_layer, &mut idx, &mut instrs)?;
     let out = out_shape.elements();
     let bytes = packed_len(act_bits(cfg), out) as u64;
     instrs.push(Instr::Exchange {
@@ -492,6 +506,7 @@ fn layer_q2(cfg: &ProtocolConfig, per_layer: Option<(u32, u32)>, fan: u64) -> u3
 fn compile_spec_ops(
     ops: &[aq2pnn_nn::spec::OpSpec],
     input: aq2pnn_nn::spec::TensorShape,
+    lowering: Lowering,
     cfg: &ProtocolConfig,
     per_layer: Option<(u32, u32)>,
     idx: &mut usize,
@@ -504,7 +519,8 @@ fn compile_spec_ops(
     };
     let mut cur = input;
     let mut skip_bn = false;
-    for (pos, op) in ops.iter().enumerate() {
+    let ops = lowering.order(ops);
+    for (pos, &op) in ops.iter().enumerate() {
         let i = *idx;
         *idx += 1;
         let next_shape = shape_after(op, cur)?;
@@ -591,17 +607,8 @@ fn compile_spec_ops(
                     TensorShape::Chw(_, h, w) => (h, w),
                     TensorShape::Flat(_) => unreachable!("pool output is CHW"),
                 };
-                let windows = crate::ops::pool_windows(c, (ih, iw), *k, *stride, *pad, (oh, ow));
-                let mut lens: Vec<usize> = windows.iter().map(Vec::len).collect();
-                let mut round = 0usize;
-                while lens.iter().any(|&l| l > 1) {
-                    let pairs: u64 = lens.iter().map(|&l| (l / 2) as u64).sum();
-                    out.extend(sign_instrs(&format!("maxpool{i}.r{round}"), pairs, cfg, pairs));
-                    for l in &mut lens {
-                        *l = *l / 2 + *l % 2;
-                    }
-                    round += 1;
-                }
+                let plan = PoolPlan::new(c, (ih, iw), *k, *stride, *pad, (oh, ow));
+                pool_instrs(i, &plan, cfg, out);
                 out.push(Instr::Alu { kind: AluKind::Select, elems: (c * oh * ow) as u64 });
             }
             OpSpec::AvgPool { k, .. } => {
@@ -618,10 +625,10 @@ fn compile_spec_ops(
             }
             OpSpec::Flatten => {}
             OpSpec::Residual { main, shortcut } => {
-                let m_shape = compile_spec_ops(main, cur, cfg, per_layer, idx, out)?;
+                let m_shape = compile_spec_ops(main, cur, lowering, cfg, per_layer, idx, out)?;
                 // Main-branch rescale to the common output scale.
                 out.push(Instr::Alu { kind: AluKind::MulShift, elems: m_shape.elements() as u64 });
-                let s_shape = compile_spec_ops(shortcut, cur, cfg, per_layer, idx, out)?;
+                let s_shape = compile_spec_ops(shortcut, cur, lowering, cfg, per_layer, idx, out)?;
                 out.push(Instr::Alu { kind: AluKind::MulShift, elems: s_shape.elements() as u64 });
                 out.push(Instr::Alu { kind: AluKind::Add, elems: m_shape.elements() as u64 });
             }
@@ -669,13 +676,22 @@ mod tests {
     }
 
     #[test]
-    fn comparisons_match_spec_counts() {
+    fn comparisons_follow_the_lowering() {
         let m = model();
-        let p = compile(&m, &crate::ProtocolConfig::paper(16));
-        // tiny_cnn: ReLUs 2048 + 1024 + 32 = 3104; maxpools 3*(8*8*8) +
-        // 3*(16*4*4) = 1536 + 744... computed from the spec instead:
         let spec_cmp = zoo::tiny_cnn(4).total_comparisons().unwrap();
-        assert_eq!(p.comparisons(), spec_cmp);
+        // Below the headroom rule (int8 on a 7-bit carrier) the engine
+        // runs — and the compiler costs — the spec's own order.
+        assert_eq!(compile(&m, &crate::ProtocolConfig::paper(7)).comparisons(), spec_cmp);
+        // With headroom both ReLUs ahead of a 2×2 pool shrink 4×:
+        // 2048 → 512 and 1024 → 256; the pools' 1536 + 768 and the FC
+        // ReLU's 32 are unchanged.
+        let p = compile(&m, &crate::ProtocolConfig::paper(16));
+        assert_eq!(p.comparisons(), 512 + 1536 + 256 + 768 + 32);
+        assert_eq!(spec_cmp - p.comparisons(), 1536 + 768);
+        // Layer indices follow execution order.
+        assert!(p.bytes_for_phase_prefix("maxpool1.r0") > 0);
+        assert!(p.bytes_for_phase_prefix("abrelu2") > 0);
+        assert_eq!(p.bytes_for_phase_prefix("abrelu1"), 0);
     }
 
     #[test]

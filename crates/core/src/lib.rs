@@ -37,6 +37,9 @@
 //!   online cost.
 //! * [`planner`] — the adaptive quantization plan: per-layer ring sizes
 //!   `Q1` (activation carrier / ABReLU wire width) and `Q2` (MAC ring).
+//! * [`lower`] — the one definition of the engine's execution order
+//!   (pool before ReLU), shared by every walker that runs, costs or
+//!   numbers layers.
 //! * [`instq`] — the INST Q compiler (paper Sec. 4.1.1): lowers a model to
 //!   the accelerator instruction stream consumed by the FPGA simulator.
 //! * [`sim`] — two-thread harness running both parties over an in-process
@@ -79,6 +82,7 @@ pub mod engine;
 mod error;
 pub mod gemm;
 pub mod instq;
+pub mod lower;
 pub mod ops;
 mod oracle;
 mod party;

@@ -404,6 +404,73 @@ pub fn pool_windows(
     windows
 }
 
+/// One level of a [`PoolPlan`] tournament.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PoolLevel {
+    /// `(first operand slot, winner slot)` per comparison; the second
+    /// operand is the slot after the first.
+    pub(crate) pairs: Vec<(usize, usize)>,
+    /// `(from, to)` slot moves of each odd-length window's unpaired last
+    /// candidate, applied after the winners are written.
+    pub(crate) carries: Vec<(usize, usize)>,
+}
+
+/// The tournament schedule of one 2PC-MaxPool layer for **one image**,
+/// flattened so the online pass allocates nothing per window: candidates
+/// live in one slot buffer (windows concatenated), each level compares
+/// neighbouring slots and compacts the winners to the front of their
+/// window, and a batch of `b` images reuses the plan by offsetting every
+/// index by `image · gather.len()` (slots) or `image · item_len` (inputs).
+///
+/// `⌈log₂ k²⌉` levels, `k² − 1` comparisons per full window; pairs are
+/// ordered window-major then position, the order the wire transcript and
+/// the plaintext reference (`aq2pnn_nn`'s `run_ops`) use.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PoolPlan {
+    /// Input index of every candidate slot, windows concatenated.
+    pub(crate) gather: Vec<usize>,
+    /// First slot of each window — where its winner ends up.
+    pub(crate) starts: Vec<usize>,
+    /// The tournament levels, first round first.
+    pub(crate) levels: Vec<PoolLevel>,
+}
+
+impl PoolPlan {
+    /// Builds the plan for the given pooling geometry
+    /// (see [`pool_windows`]).
+    pub(crate) fn new(
+        c: usize,
+        in_hw: (usize, usize),
+        k: usize,
+        stride: usize,
+        pad: usize,
+        out_hw: (usize, usize),
+    ) -> Self {
+        let windows = pool_windows(c, in_hw, k, stride, pad, out_hw);
+        let mut starts = Vec::with_capacity(windows.len());
+        let mut gather = Vec::with_capacity(windows.len() * k * k);
+        for w in &windows {
+            starts.push(gather.len());
+            gather.extend_from_slice(w);
+        }
+        let mut lens: Vec<usize> = windows.iter().map(Vec::len).collect();
+        let mut levels = Vec::new();
+        while lens.iter().any(|&l| l > 1) {
+            let mut level = PoolLevel { pairs: Vec::new(), carries: Vec::new() };
+            for (&start, len) in starts.iter().zip(&mut lens) {
+                let pairs = *len / 2;
+                level.pairs.extend((0..pairs).map(|p| (start + 2 * p, start + p)));
+                if *len % 2 == 1 && pairs > 0 {
+                    level.carries.push((start + *len - 1, start + pairs));
+                }
+                *len = pairs + *len % 2;
+            }
+            levels.push(level);
+        }
+        PoolPlan { gather, starts, levels }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

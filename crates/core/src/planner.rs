@@ -7,6 +7,7 @@
 //! datapaths per layer instead of paying a fixed 32/64-bit ISA width.
 
 use crate::engine::max_fan_in;
+use crate::lower::Lowering;
 use crate::ProtocolConfig;
 use aq2pnn_nn::quant::{QuantModel, QuantOp};
 use aq2pnn_ring::HEADROOM_BITS;
@@ -50,6 +51,14 @@ pub struct AdaptivePlan {
     pub layers: Vec<LayerPlan>,
 }
 
+/// The paper's headroom rule of thumb (Sec. 5.1): a `q1_bits` carrier
+/// leaves at least [`HEADROOM_BITS`] above `act_bits`-bit values. Also the
+/// predicate [`Lowering`] gates pool-before-ReLU on.
+#[must_use]
+pub fn headroom_ok(q1_bits: u32, act_bits: u32) -> bool {
+    q1_bits >= act_bits + HEADROOM_BITS
+}
+
 impl AdaptivePlan {
     /// Builds the plan for `model` at a target ABReLU width.
     ///
@@ -60,13 +69,21 @@ impl AdaptivePlan {
     pub fn new(model: &QuantModel, q1_bits: u32) -> Self {
         let q2_bits = (q1_bits + 16).min(48);
         let mut layers = Vec::new();
-        collect_layers(&model.ops, model.act_bits, model.weight_bits, &mut 0, &mut layers);
+        let lowering = Lowering::new(q1_bits, model.act_bits);
+        collect_layers(
+            &model.ops,
+            lowering,
+            model.act_bits,
+            model.weight_bits,
+            &mut 0,
+            &mut layers,
+        );
         let worst = layers.iter().map(|l| l.accum_bits).max().unwrap_or(0);
         AdaptivePlan {
             q1_bits,
             q2_bits,
             act_bits: model.act_bits,
-            headroom_ok: q1_bits >= model.act_bits + HEADROOM_BITS,
+            headroom_ok: headroom_ok(q1_bits, model.act_bits),
             worst_case_safe: q2_bits >= worst,
             layers,
         }
@@ -88,14 +105,17 @@ impl AdaptivePlan {
     }
 }
 
+/// Numbers layers in execution order ([`Lowering::order`]), like the
+/// engine's phase labels.
 fn collect_layers(
     ops: &[QuantOp],
+    lowering: Lowering,
     act_bits: u32,
     weight_bits: u32,
     idx: &mut usize,
     out: &mut Vec<LayerPlan>,
 ) {
-    for op in ops {
+    for op in lowering.order(ops) {
         let layer = *idx;
         *idx += 1;
         match op {
@@ -107,8 +127,8 @@ fn collect_layers(
                 out.push(mk_plan(layer, "fc", *in_f as u64, act_bits, weight_bits));
             }
             QuantOp::Residual { main, shortcut } => {
-                collect_layers(main, act_bits, weight_bits, idx, out);
-                collect_layers(shortcut, act_bits, weight_bits, idx, out);
+                collect_layers(main, lowering, act_bits, weight_bits, idx, out);
+                collect_layers(shortcut, lowering, act_bits, weight_bits, idx, out);
             }
             _ => {}
         }

@@ -31,7 +31,8 @@
 //!
 //! * [`PreparedTemplate::build`] — everything **channel-free and
 //!   dealer-free**: weight/bias share derivation from the setup PRG,
-//!   GEMM-layout transposition, pooling-window precomputation. The result
+//!   GEMM-layout transposition, pooling tournament plans — in the engine's
+//!   execution order ([`crate::lower`]). The result
 //!   is `Send + Sync` plain data, so a multi-tenant server builds it once
 //!   per (model, ℓ-profile) and shares it across sessions behind an `Arc`.
 //! * [`PreparedTemplate::bind`] — the per-session remainder: drawing each
@@ -43,11 +44,12 @@
 
 use crate::abrelu::abrelu;
 use crate::dealer::{DealerConfig, DealerPool, ExpandFn, LaneSlot, TripleSource};
-use crate::engine::{secure_max_windows, BatchInput, BatchOutput, InferenceOutput, PartyInput};
+use crate::engine::{secure_max_pool, BatchInput, BatchOutput, InferenceOutput, PartyInput};
 use crate::gemm::open_weight_mask;
+use crate::lower::Lowering;
 use crate::ops::{
-    channel_sum, im2col_tensor, pool_sum, pool_windows, requant_share,
-    secure_conv2d_prepared_batch, secure_linear_prepared_batch, ConvGeometry,
+    channel_sum, im2col_tensor, pool_sum, requant_share, secure_conv2d_prepared_batch,
+    secure_linear_prepared_batch, ConvGeometry, PoolPlan,
 };
 use crate::party::IoSpan;
 use crate::{PartyContext, PipelineMode, ProtocolConfig, ProtocolError};
@@ -110,7 +112,8 @@ enum PreparedKind {
     MaxPool {
         c: usize,
         out_hw: (usize, usize),
-        windows: Vec<Vec<usize>>,
+        /// Built once per template, shared by every session bound to it.
+        plan: Arc<PoolPlan>,
     },
     AvgPool {
         k: usize,
@@ -375,7 +378,8 @@ enum TemplateKind {
     MaxPool {
         c: usize,
         out_hw: (usize, usize),
-        windows: Vec<Vec<usize>>,
+        /// Built once per template, shared by every session bound to it.
+        plan: Arc<PoolPlan>,
     },
     AvgPool {
         k: usize,
@@ -418,8 +422,16 @@ impl PreparedTemplate {
         let mut wstream = ChaCha20Rng::seed_from_u64(cfg.setup_seed ^ 0x7e19_0002);
         let mut layer_idx = 0usize;
         let mut cur_shape = vec![model.input_shape.elements()];
-        let ops =
-            build_ops(id, cfg.q2(), &model.ops, &mut cur_shape, &mut wstream, &mut layer_idx)?;
+        let lowering = Lowering::new(cfg.q1_bits, model.act_bits);
+        let ops = build_ops(
+            id,
+            cfg.q2(),
+            lowering,
+            &model.ops,
+            &mut cur_shape,
+            &mut wstream,
+            &mut layer_idx,
+        )?;
         Ok(PreparedTemplate {
             ops,
             n_in: model.input_shape.elements(),
@@ -484,8 +496,8 @@ fn bind_ops(ctx: &mut PartyContext, ops: &[TemplateOp]) -> Result<Vec<PreparedOp
                 }
             }
             TemplateKind::Relu => PreparedKind::Relu,
-            TemplateKind::MaxPool { c, out_hw, windows } => {
-                PreparedKind::MaxPool { c: *c, out_hw: *out_hw, windows: windows.clone() }
+            TemplateKind::MaxPool { c, out_hw, plan } => {
+                PreparedKind::MaxPool { c: *c, out_hw: *out_hw, plan: Arc::clone(plan) }
             }
             TemplateKind::AvgPool { k, stride, pad, c, in_hw, out_hw, requant } => {
                 PreparedKind::AvgPool {
@@ -627,9 +639,10 @@ fn provider_share(
     }
 }
 
-/// The template lowering walk: mirrors the engine's execution order
-/// (depth-first, residual main before shortcut) so PRG stream consumption
-/// stays in lockstep across parties. `cur_shape` tracks the activation
+/// The template lowering walk: fixes the engine's execution order
+/// ([`Lowering::order`] per op list, depth-first, residual main before
+/// shortcut) — [`bind_ops`] and [`run_ops`] simply follow the template —
+/// so PRG stream consumption stays in lockstep across parties. `cur_shape` tracks the activation
 /// tensor shape, which fixes each layer's compact triple shape (recorded
 /// as `a_shape` for [`bind_ops`] to draw the matching lane). Dealer- and
 /// channel-free by construction.
@@ -637,13 +650,14 @@ fn provider_share(
 fn build_ops(
     id: PartyId,
     q2: Ring,
+    lowering: Lowering,
     ops: &[QuantOp],
     cur_shape: &mut Vec<usize>,
     wstream: &mut ChaCha20Rng,
     layer_idx: &mut usize,
 ) -> Result<Vec<TemplateOp>, ProtocolError> {
     let mut out = Vec::with_capacity(ops.len());
-    for op in ops {
+    for op in lowering.order(ops) {
         let idx = *layer_idx;
         *layer_idx += 1;
         let kind = match op {
@@ -732,9 +746,9 @@ fn build_ops(
             }
             QuantOp::Relu => TemplateKind::Relu,
             QuantOp::MaxPool { k, stride, pad, c, in_hw, out_hw } => {
-                let windows = pool_windows(*c, *in_hw, *k, *stride, *pad, *out_hw);
+                let plan = Arc::new(PoolPlan::new(*c, *in_hw, *k, *stride, *pad, *out_hw));
                 *cur_shape = vec![*c, out_hw.0, out_hw.1];
-                TemplateKind::MaxPool { c: *c, out_hw: *out_hw, windows }
+                TemplateKind::MaxPool { c: *c, out_hw: *out_hw, plan }
             }
             QuantOp::AvgPool { k, stride, pad, c, in_hw, out_hw, requant } => {
                 *cur_shape = vec![*c, out_hw.0, out_hw.1];
@@ -759,9 +773,11 @@ fn build_ops(
             QuantOp::Rescale { requant } => TemplateKind::Rescale { requant: *requant },
             QuantOp::Residual { main, shortcut } => {
                 let mut main_shape = cur_shape.clone();
-                let main_ops = build_ops(id, q2, main, &mut main_shape, wstream, layer_idx)?;
+                let main_ops =
+                    build_ops(id, q2, lowering, main, &mut main_shape, wstream, layer_idx)?;
                 let mut short_shape = cur_shape.clone();
-                let short_ops = build_ops(id, q2, shortcut, &mut short_shape, wstream, layer_idx)?;
+                let short_ops =
+                    build_ops(id, q2, lowering, shortcut, &mut short_shape, wstream, layer_idx)?;
                 // The residual add flattens both branches to one vector.
                 *cur_shape = vec![main_shape.iter().product()];
                 TemplateKind::Residual { main: main_ops, shortcut: short_ops }
@@ -834,22 +850,9 @@ fn run_ops(
                 ctx.ep.set_phase(format!("abrelu{idx}"));
                 abrelu(ctx, &x)?
             }
-            PreparedKind::MaxPool { c, out_hw, windows } => {
+            PreparedKind::MaxPool { c, out_hw, plan } => {
                 ctx.ep.set_phase(format!("maxpool{idx}"));
-                let out = if b == 1 {
-                    secure_max_windows(ctx, &x, windows)?
-                } else {
-                    // Windows were precomputed for one image; shift the
-                    // indices per image so all b·c channels pool in one
-                    // tournament.
-                    let item = x.len() / b;
-                    let shifted: Vec<Vec<usize>> = (0..b)
-                        .flat_map(|i| {
-                            windows.iter().map(move |w| w.iter().map(|&ix| ix + i * item).collect())
-                        })
-                        .collect();
-                    secure_max_windows(ctx, &x, &shifted)?
-                };
+                let out = secure_max_pool(ctx, &x, plan, b)?;
                 let mut t = out.into_tensor();
                 t.reshape(vec![b * *c, out_hw.0, out_hw.1])?;
                 AShare::from_tensor(t)

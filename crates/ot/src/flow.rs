@@ -227,7 +227,8 @@ fn item_offsets(arity: &[usize]) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// Returns [`OtError`] on channel failure or invalid choices.
+/// Returns [`OtError`] on channel failure, invalid choices, or a ciphertext
+/// message shorter than the batch geometry requires.
 pub fn recv_batch<R: Rng + ?Sized>(
     ep: &Endpoint,
     group: &OtGroup,
@@ -272,11 +273,14 @@ pub fn recv_batch<R: Rng + ?Sized>(
     let offsets = item_offsets(&arity);
     let total = offsets[offsets.len() - 1];
     let enc_bytes = ep.recv()?;
-    assert!(
-        enc_bytes.len() >= aq2pnn_transport::packed_len(msg_bits, total),
-        "short OT ciphertext message: {} bytes for {total} x {msg_bits}-bit slots",
-        enc_bytes.len()
-    );
+    // The bytes come straight off the peer: a short message is its fault,
+    // reported like `Endpoint::recv_bits` reports one, not a local bug.
+    if enc_bytes.len() < aq2pnn_transport::packed_len(msg_bits, total) {
+        return Err(OtError::Transport(TransportError::Corrupt(format!(
+            "short OT ciphertext message: {} bytes for {total} x {msg_bits}-bit slots",
+            enc_bytes.len()
+        ))));
+    }
     let msg_mask = if msg_bits == 64 { u64::MAX } else { (1u64 << msg_bits) - 1 };
     let mut out = vec![0u64; batch.len()];
     par_fill_indexed(&mut out, PAR_MIN_ITEMS, |k| {
@@ -436,6 +440,26 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, OtError::ChoiceOutOfRange { choice: 4, n: 4 });
+    }
+
+    /// A peer that sends a truncated ciphertext message gets the session a
+    /// typed error on the receiver, not a panic in its worker.
+    #[test]
+    fn truncated_ciphertext_is_an_error_not_a_panic() {
+        let (g, t) = setup(16, 4);
+        let (a, b) = duplex();
+        let ebits = g.element_bits();
+        let h = std::thread::spawn(move || {
+            // A well-formed step ① and ③ … except that only one of the
+            // three items' ciphertexts is sent.
+            a.send_bits(&[1], ebits).unwrap();
+            let _r_matrix = a.recv_bits(ebits, 3).unwrap();
+            a.send_bits(&[0; 4], 8).unwrap();
+        });
+        let choices = [OtChoice { choice: 1, n: 4 }; 3];
+        let err = recv_batch(&b, &g, &t, &choices, 8, &mut StdRng::seed_from_u64(2)).unwrap_err();
+        h.join().unwrap();
+        assert!(matches!(err, OtError::Transport(TransportError::Corrupt(_))), "got {err:?}");
     }
 
     #[test]

@@ -38,6 +38,7 @@ use crate::TransportError;
 use aq2pnn_obs::{Counter, MetricsRegistry};
 use bytes::Bytes;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -110,6 +111,41 @@ pub struct SessionTelemetry {
     pub misrouted: u64,
 }
 
+/// The live [`SessionTelemetry`] counters, kept **outside** the session
+/// lock: [`Session::recv`] holds that lock for its whole wait, and an
+/// operator's `/sessions` scrape must not stall behind a session parked
+/// on a silent peer. Pure statistics — nothing is published through them
+/// — so every access is `Relaxed`.
+#[derive(Default)]
+struct TelemetryCells {
+    retransmits: AtomicU64,
+    reconnects: AtomicU64,
+    naks_sent: AtomicU64,
+    corrupt_frames: AtomicU64,
+    duplicates: AtomicU64,
+    gaps: AtomicU64,
+    backoff_sleeps: AtomicU64,
+    backoff_ms: AtomicU64,
+    misrouted: AtomicU64,
+}
+
+impl TelemetryCells {
+    fn snapshot(&self) -> SessionTelemetry {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        SessionTelemetry {
+            retransmits: get(&self.retransmits),
+            reconnects: get(&self.reconnects),
+            naks_sent: get(&self.naks_sent),
+            corrupt_frames: get(&self.corrupt_frames),
+            duplicates: get(&self.duplicates),
+            gaps: get(&self.gaps),
+            backoff_sleeps: get(&self.backoff_sleeps),
+            backoff_ms: get(&self.backoff_ms),
+            misrouted: get(&self.misrouted),
+        }
+    }
+}
+
 /// Metric handles mirroring [`SessionTelemetry`], incremented at the same
 /// sites. Detached by default (handles count locally, nothing exported);
 /// [`Session::attach_metrics`] rebinds them to a live registry under the
@@ -164,7 +200,7 @@ macro_rules! note {
     ($($fn_name:ident => $field:ident),* $(,)?) => {
         impl SessionState {
             $(fn $fn_name(&mut self) {
-                self.telemetry.$field += 1;
+                self.telemetry.$field.fetch_add(1, Ordering::Relaxed);
                 self.metrics.$field.inc();
             })*
         }
@@ -184,8 +220,8 @@ note! {
 impl SessionState {
     fn note_backoff(&mut self, slept: Duration) {
         let ms = u64::try_from(slept.as_millis()).unwrap_or(u64::MAX);
-        self.telemetry.backoff_sleeps += 1;
-        self.telemetry.backoff_ms += ms;
+        self.telemetry.backoff_sleeps.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.backoff_ms.fetch_add(ms, Ordering::Relaxed);
         self.metrics.backoff_sleeps.inc();
         self.metrics.backoff_ms.add(ms);
     }
@@ -202,7 +238,8 @@ struct SessionState {
     /// caller (e.g. drained while waiting for acks during send).
     inbox: VecDeque<Bytes>,
     recv_since_ack: u64,
-    telemetry: SessionTelemetry,
+    /// Shared with [`Session::telemetry`], which reads it without `st`.
+    telemetry: Arc<TelemetryCells>,
     metrics: SessionMetrics,
     /// When `Some`, every frame written to the link (data, control,
     /// retransmissions alike) is appended — the eavesdropper's true wire
@@ -222,6 +259,7 @@ pub struct Session {
     /// Stream ID stamped on every outgoing frame; frames tagged otherwise
     /// are misrouted and discarded.
     stream: u64,
+    telemetry: Arc<TelemetryCells>,
     st: Mutex<SessionState>,
 }
 
@@ -257,10 +295,12 @@ impl Session {
     /// as misrouted and dropped.
     #[must_use]
     pub fn with_stream(link: Arc<dyn Transport>, cfg: SessionConfig, stream: u64) -> Self {
+        let telemetry = Arc::new(TelemetryCells::default());
         Session {
             link,
             cfg,
             stream,
+            telemetry: Arc::clone(&telemetry),
             st: Mutex::new(SessionState {
                 next_send_seq: 0,
                 next_recv_seq: 0,
@@ -268,16 +308,17 @@ impl Session {
                 replay: VecDeque::new(),
                 inbox: VecDeque::new(),
                 recv_since_ack: 0,
-                telemetry: SessionTelemetry::default(),
+                telemetry,
                 metrics: SessionMetrics::default(),
                 wire_capture: None,
             }),
         }
     }
 
-    /// Repair-work counters so far.
+    /// Repair-work counters so far. Never waits for the session lock, so
+    /// it is safe to call while another thread is blocked in `recv`.
     pub fn telemetry(&self) -> SessionTelemetry {
-        self.lock().telemetry
+        self.telemetry.snapshot()
     }
 
     /// The stream ID this session stamps on its frames.
@@ -292,7 +333,7 @@ impl Session {
     pub fn attach_metrics(&self, reg: &MetricsRegistry) {
         let mut st = self.lock();
         let m = SessionMetrics::bound_to(reg, self.stream);
-        let t = st.telemetry;
+        let t = self.telemetry.snapshot();
         m.retransmits.add(t.retransmits);
         m.reconnects.add(t.reconnects);
         m.naks_sent.add(t.naks_sent);
@@ -852,6 +893,52 @@ mod tests {
         assert_eq!(snap.counters["session.retransmits"], t.retransmits);
         assert_eq!(snap.counters["session.reconnects"], t.reconnects);
         assert_eq!(snap.counters["session.backoff_sleeps"], t.backoff_sleeps);
+    }
+
+    /// `/sessions` reads a session's counters while its worker is parked
+    /// in `recv` on a silent peer; `recv` holds the session lock for its
+    /// whole wait, so the read must not need it. The link signals when the
+    /// session has entered its (locked) receive and then stays silent
+    /// until released — before the counters left the lock, `telemetry`
+    /// returned only after the receive gave up.
+    #[test]
+    fn telemetry_does_not_wait_for_an_in_flight_recv() {
+        use std::sync::mpsc::{channel, Receiver, Sender};
+
+        struct Parked {
+            entered: Sender<()>,
+            release: Mutex<Receiver<()>>,
+        }
+        impl Transport for Parked {
+            fn send(&self, _bytes: Bytes) -> Result<(), TransportError> {
+                Ok(())
+            }
+            fn recv(&self, _deadline: Option<Duration>) -> Result<Bytes, TransportError> {
+                let _ = self.entered.send(());
+                let _ = self.release.lock().unwrap().recv_timeout(Duration::from_secs(5));
+                Err(TransportError::Timeout)
+            }
+            fn shutdown(&self) {}
+            fn descriptor(&self) -> String {
+                "parked".into()
+            }
+        }
+
+        let (entered_tx, entered) = channel();
+        let (release, release_rx) = channel();
+        let link = Parked { entered: entered_tx, release: Mutex::new(release_rx) };
+        let session = Arc::new(Session::new(Arc::new(link), SessionConfig::default()));
+        let worker = {
+            let session = Arc::clone(&session);
+            std::thread::spawn(move || session.recv(Some(Duration::from_secs(5))))
+        };
+        entered.recv().expect("session entered its receive");
+        assert_eq!(session.telemetry(), SessionTelemetry::default());
+        // Still parked: the read came back while `recv` held the lock.
+        assert!(!worker.is_finished(), "telemetry waited out the receive");
+        release.send(()).expect("link still parked");
+        drop(release);
+        assert!(worker.join().unwrap().is_err(), "the silent link never delivers");
     }
 
     #[test]

@@ -55,12 +55,13 @@ fn traced_tiny_cnn_report_reconciles_with_channel_stats() {
     let (spans, totals) = traced_run();
 
     for (pid, (spans, total)) in spans.iter().zip(&totals).enumerate() {
-        // --- One top-level layer span per engine layer, in order. ---
+        // --- One top-level layer span per engine layer, in execution
+        //     order (`paper(16)` on int8 lowers pool before ReLU). ---
         let layers: Vec<&str> = top_layers(spans).iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             layers,
             vec![
-                "input", "conv0", "abrelu1", "maxpool2", "conv3", "abrelu4", "maxpool5", "fc7",
+                "input", "conv0", "maxpool1", "abrelu2", "conv3", "maxpool4", "abrelu5", "fc7",
                 "abrelu8", "fc9", "output",
             ],
             "party {pid}: unexpected layer timeline"
@@ -143,7 +144,7 @@ fn chrome_export_roundtrips_into_identical_report() {
 
     // The rendered table mentions every layer and both parties.
     let table = live.render();
-    for needle in ["conv0", "abrelu1", "fc9", "party 0", "party 1", "total"] {
+    for needle in ["conv0", "abrelu2", "fc9", "party 0", "party 1", "total"] {
         assert!(table.contains(needle), "report table missing {needle}:\n{table}");
     }
 }
