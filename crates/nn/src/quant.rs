@@ -20,7 +20,7 @@
 //!   stochastically. `forward_ring_exact` is the noise-free variant that
 //!   the integration tests prove bit-identical to the real 2PC engine.
 
-use crate::float::{FloatNet, Layer};
+use crate::float::{FloatNet, Fnv1a, Layer};
 use crate::spec::TensorShape;
 use crate::tensor::argmax_i64;
 use crate::NnError;
@@ -381,6 +381,42 @@ impl QuantModel {
         let input = self.quantize_input(image);
         let x: Vec<i64> = input.iter().map(|&v| policy.on_activation(v)).collect();
         Ok(run_ops(&self.ops, x, &mut policy))
+    }
+
+    /// A stable digest (FNV-1a) of the integer weights, biases, dyadic
+    /// requant factors and input/output scales, in op order — the
+    /// quantized counterpart of [`FloatNet::fingerprint`].
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        fn walk(ops: &[QuantOp], h: &mut Fnv1a) {
+            let requant = |h: &mut Fnv1a, r: &Requant| {
+                h.bytes(&r.mult.to_le_bytes());
+                h.bytes(&r.shift.to_le_bytes());
+            };
+            for op in ops {
+                match op {
+                    QuantOp::Conv2d { w, bias, requant: r, .. }
+                    | QuantOp::Linear { w, bias, requant: r, .. } => {
+                        for v in w.iter().chain(bias) {
+                            h.bytes(&v.to_le_bytes());
+                        }
+                        requant(h, r);
+                    }
+                    QuantOp::AvgPool { requant: r, .. }
+                    | QuantOp::GlobalAvgPool { requant: r, .. }
+                    | QuantOp::Rescale { requant: r } => requant(h, r),
+                    QuantOp::Residual { main, shortcut } => {
+                        walk(main, h);
+                        walk(shortcut, h);
+                    }
+                    QuantOp::Relu | QuantOp::MaxPool { .. } | QuantOp::Flatten => {}
+                }
+            }
+        }
+        let mut h = Fnv1a::default();
+        h.f32s(&[self.input_scale, self.output_scale]);
+        walk(&self.ops, &mut h);
+        h.0
     }
 
     /// Top-1 accuracy of plaintext integer inference.

@@ -114,6 +114,7 @@ fn main() {
     signal::install_handlers();
 
     eprintln!("training demo model {:?} (deterministic seeds)…", args.model);
+    let build_started = std::time::Instant::now();
     let (_data, model) = match demo_model(&args.model) {
         Ok(m) => m,
         Err(e) => {
@@ -121,6 +122,8 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // Set-up splits into this build and everything up to `listening on`.
+    eprintln!("model {:?} built in {} ms", args.model, build_started.elapsed().as_millis());
     let mut registry = ModelRegistry::new();
     registry.insert(args.model.clone(), model);
 

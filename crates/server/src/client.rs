@@ -149,12 +149,22 @@ pub fn run_client(
     let batch = cfg.batch.max(1);
 
     // 1. Admission on the raw link: Hello out, verdict in. A Shed frame
-    //    or a version mismatch surfaces here as its typed error.
-    link.send(Frame::control(FrameKind::Hello, 0, 0).encode().into())?;
-    let verdict = link.recv(Some(cfg.admission_timeout))?;
+    //    or a version mismatch surfaces here as its typed error. The
+    //    server sheds at accept time and then closes the link, which can
+    //    beat our Hello onto the wire: a failed send still reads the
+    //    queued verdict, so overload is reported as `Shed`, not as the
+    //    closed link it left behind.
+    let hello = link.send(Frame::control(FrameKind::Hello, 0, 0).encode().into());
+    let verdict = match link.recv(Some(cfg.admission_timeout)) {
+        Ok(v) => v,
+        Err(e) => return Err(hello.err().unwrap_or(e).into()),
+    };
     let frame = Frame::decode(&verdict)?;
+    if frame.kind == FrameKind::Shed {
+        return Err(ClientError::Shed);
+    }
+    hello?;
     let stream = match frame.kind {
-        FrameKind::Shed => return Err(ClientError::Shed),
         FrameKind::Hello if frame.seq > 0 => frame.seq,
         other => {
             return Err(ClientError::Transport(TransportError::Corrupt(format!(

@@ -149,6 +149,18 @@ mod tests {
         QuantModel::quantize(&net, &data.calibration(8), &QuantConfig::int8()).unwrap()
     }
 
+    /// Pins the demo models' trained bits (see `nn::float`'s ordering
+    /// invariant): client and provider derive their weights independently
+    /// from `demo_model`, so these digests must not move unnoticed. Full
+    /// size, hence ignored in the debug suite; CI runs it in release.
+    #[test]
+    #[ignore = "full-size training; run with --release -- --ignored"]
+    fn demo_models_are_bit_stable() {
+        let got: Vec<u64> =
+            ["tiny", "lenet5"].iter().map(|n| demo_model(n).unwrap().1.fingerprint()).collect();
+        assert_eq!(got, [1_270_100_716_101_669_948, 2_650_247_657_830_149_864]);
+    }
+
     #[test]
     fn cache_hits_share_one_template_per_profile() {
         let model = tiny_model();

@@ -364,6 +364,32 @@ fn overload_is_shed_with_a_typed_error_immediately() {
     server.drain();
 }
 
+/// The shed verdict is sent at accept time and the link closed right after,
+/// so it can land before the client has written its Hello. Ordered here
+/// deterministically: the handshake starts only once the server has shed
+/// the link. The client must still report the queued `Shed`, not the
+/// closed link.
+#[test]
+fn shed_before_the_hello_is_still_a_typed_shed() {
+    let cfg = ServerConfig { max_sessions: 1, queue_depth: 0, ..server_cfg() };
+    let (mut server, dial, _metrics) = start(cfg);
+
+    let occupant = dial.connect().expect("connect");
+    wait_until("the occupant to be admitted", Duration::from_secs(5), || {
+        server.counters().admitted == 1
+    });
+    let late = dial.connect().expect("connect");
+    wait_until("the late link to be shed", Duration::from_secs(5), || server.counters().shed == 1);
+
+    let err = run_client(late, &client_cfg(), &fixture().1, &images(1))
+        .expect_err("a shed link must be declined");
+    assert_eq!(err, ClientError::Shed);
+
+    occupant.shutdown();
+    assert_no_leaks(&server);
+    server.drain();
+}
+
 // ---------------------------------------------------------------------------
 // Hostile admission traffic: garbage bytes and version-skewed peers are
 // rejected as typed admission failures without collateral damage.
