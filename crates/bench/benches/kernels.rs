@@ -16,7 +16,7 @@
 use aq2pnn::abrelu::{fill_sender_codes, fill_sender_codes_reference};
 use aq2pnn_ring::{IsaLevel, Ring, RingTensor};
 use aq2pnn_sharing::a2b::{group_widths, split_groups_into};
-use aq2pnn_sharing::beaver::{ring_matmul, ring_matmul_reference, ring_matmul_with};
+use aq2pnn_sharing::beaver::{ring_matmul_reference, ring_matmul_with};
 use aq2pnn_sharing::kernels::KernelDispatch;
 use aq2pnn_transport::{
     pack_bits_reference, pack_bits_with_isa, unpack_bits_reference, unpack_bits_with_isa,
@@ -66,9 +66,6 @@ fn bench_ring_matmul(c: &mut Criterion) {
             c.bench_with_input(BenchmarkId::new("matmul/reference", &case), &(), |bch, ()| {
                 bch.iter(|| ring_matmul_reference(black_box(&a), black_box(&b)).unwrap());
             });
-            // Single thread per ISA: isolates the dispatch win from thread
-            // scaling.
-            std::env::set_var("AQ2PNN_THREADS", "1");
             for isa in IsaLevel::available() {
                 let d = KernelDispatch::for_isa(isa);
                 assert_eq!(
@@ -81,19 +78,12 @@ fn bench_ring_matmul(c: &mut Criterion) {
                     bch.iter(|| ring_matmul_with(&d, black_box(&a), black_box(&b)).unwrap());
                 });
             }
-            std::env::remove_var("AQ2PNN_THREADS");
-            c.bench_with_input(BenchmarkId::new("matmul/active_par", &case), &(), |bch, ()| {
-                bch.iter(|| ring_matmul(black_box(&a), black_box(&b)).unwrap());
-            });
         }
     }
 }
 
 fn bench_packing(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
-    // Single-thread: the per-ISA rows measure the group kernels, not the
-    // fan-out.
-    std::env::set_var("AQ2PNN_THREADS", "1");
     for &bits in PACK_BITS {
         let ring = Ring::new(bits);
         let elems: Vec<u64> = (0..PACK_COUNT).map(|_| ring.sample(&mut rng)).collect();
@@ -125,12 +115,10 @@ fn bench_packing(c: &mut Criterion) {
             });
         }
     }
-    std::env::remove_var("AQ2PNN_THREADS");
 }
 
 fn bench_fill_codes(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);
-    std::env::set_var("AQ2PNN_THREADS", "1");
     for &bits in FILL_L {
         let ring = Ring::new(bits);
         let widths = group_widths(bits);
@@ -192,7 +180,6 @@ fn bench_fill_codes(c: &mut Criterion) {
             });
         }
     }
-    std::env::remove_var("AQ2PNN_THREADS");
 }
 
 criterion_group!(kernels, bench_ring_matmul, bench_packing, bench_fill_codes);
@@ -227,18 +214,13 @@ fn write_report(path: &str) -> std::io::Result<()> {
         let sweep: &[u32] = if name.starts_with("vgg") { GEMM_SWEEP_L } else { &[GEMM_SPOT_L] };
         for &bits in sweep {
             let case = format!("l{bits}/{name}");
-            let (reference, single, par) = (
-                ns(format!("matmul/reference/{case}")),
-                ns(format!("matmul/{active}_1t/{case}")),
-                ns(format!("matmul/active_par/{case}")),
-            );
-            if let (Some(reference), Some(single), Some(par)) = (reference, single, par) {
+            let (reference, single) =
+                (ns(format!("matmul/reference/{case}")), ns(format!("matmul/{active}_1t/{case}")));
+            if let (Some(reference), Some(single)) = (reference, single) {
                 lines.push(format!(
                     "    {{\"shape\": \"{name}\", \"l\": {bits}, \
-                     \"single_thread_vs_reference\": {:.2}, \
-                     \"parallel_vs_reference\": {:.2}}}",
-                    reference / single,
-                    reference / par
+                     \"single_thread_vs_reference\": {:.2}}}",
+                    reference / single
                 ));
             }
         }

@@ -1,17 +1,16 @@
 //! Criterion benchmarks of the batched nonlinear engine: full two-party
 //! `secure_sign` batches (the ABReLU comparison core, paper Sec. 4.3/4.4)
-//! at the paper's ring widths, in both OT schedules, across three engine
-//! variants:
+//! at the paper's ring widths, in both OT schedules, across two engine
+//! variants (both single-threaded, like every online pass):
 //!
 //! * `reference_1t` — the pre-optimization serial path, vendored verbatim
 //!   in [`baseline`]: square-and-multiply group exponentiation
 //!   ([`OtGroup::power_of_two_reference`]), per-slot recomputation of the
 //!   label powers `r̂^{e2l(t)}`, per-element `split_groups` allocations,
 //!   nested per-item OT message vectors and the quadratic lazy-round
-//!   membership scan — all on one thread,
+//!   membership scan,
 //! * `engine_1t` — the batched engine (per-batch key cache, dlog LUT, flat
-//!   A2BM buffers, linear lazy walk) pinned to one thread,
-//! * `engine_par` — the same engine with the thread fan-out enabled.
+//!   A2BM buffers, linear lazy walk).
 //!
 //! Before any timing, every variant is run once and checked: sign flags
 //! must be bit-identical across variants (and equal to the plaintext
@@ -400,33 +399,23 @@ fn bench_secure_sign(c: &mut Criterion) {
             let case = format!("l{bits}_n{n}_{rname}");
 
             // Correctness + transcript-identity gate before any timing:
-            // the pre-PR path, the serial engine and the parallel engine
-            // must agree bit-for-bit and byte-for-byte, and the engine
-            // must never fall off the LUT path.
-            std::env::set_var("AQ2PNN_THREADS", "1");
+            // the pre-optimization path and the engine must agree
+            // bit-for-bit and byte-for-byte, and the engine must never
+            // fall off the LUT path.
             let reference = run_sign(&cfg, &s0, &s1, true);
             let fallbacks_before = lut_fallback_hits();
-            let serial = run_sign(&cfg, &s0, &s1, false);
-            std::env::remove_var("AQ2PNN_THREADS");
-            let parallel = run_sign(&cfg, &s0, &s1, false);
+            let engine = run_sign(&cfg, &s0, &s1, false);
             assert_eq!(lut_fallback_hits(), fallbacks_before, "engine left the LUT path: {case}");
-            for (name, run) in [("reference", &reference), ("1t", &serial), ("par", &parallel)] {
+            for (name, run) in [("reference", &reference), ("engine", &engine)] {
                 assert_eq!(run.0, expect, "wrong sign flags ({name}): {case}");
             }
-            assert_eq!(reference.1, serial.1, "user transcript drifted (1t): {case}");
-            assert_eq!(reference.1, parallel.1, "user transcript drifted (par): {case}");
-            assert_eq!(reference.2, serial.2, "provider transcript drifted (1t): {case}");
-            assert_eq!(reference.2, parallel.2, "provider transcript drifted (par): {case}");
+            assert_eq!(reference.1, engine.1, "user transcript drifted: {case}");
+            assert_eq!(reference.2, engine.2, "provider transcript drifted: {case}");
 
-            std::env::set_var("AQ2PNN_THREADS", "1");
             c.bench_with_input(BenchmarkId::new("sign/reference_1t", &case), &(), |bch, ()| {
                 bch.iter(|| run_sign(&cfg, &s0, &s1, true));
             });
             c.bench_with_input(BenchmarkId::new("sign/engine_1t", &case), &(), |bch, ()| {
-                bch.iter(|| run_sign(&cfg, &s0, &s1, false));
-            });
-            std::env::remove_var("AQ2PNN_THREADS");
-            c.bench_with_input(BenchmarkId::new("sign/engine_par", &case), &(), |bch, ()| {
                 bch.iter(|| run_sign(&cfg, &s0, &s1, false));
             });
         }
@@ -459,18 +448,12 @@ fn write_report(path: &str) -> std::io::Result<()> {
     for &(bits, n) in CASES {
         for &(_, rname) in ROUNDS {
             let case = format!("l{bits}_n{n}_{rname}");
-            let (reference, single, par) = (
-                ns(&format!("sign/reference_1t/{case}")),
-                ns(&format!("sign/engine_1t/{case}")),
-                ns(&format!("sign/engine_par/{case}")),
-            );
-            if let (Some(reference), Some(single), Some(par)) = (reference, single, par) {
+            let (reference, single) =
+                (ns(&format!("sign/reference_1t/{case}")), ns(&format!("sign/engine_1t/{case}")));
+            if let (Some(reference), Some(single)) = (reference, single) {
                 lines.push(format!(
-                    "    {{\"case\": \"{case}\", \"engine_1t_vs_reference\": {:.2}, \
-                     \"parallel_vs_reference\": {:.2}, \"parallel_vs_engine_1t\": {:.2}}}",
-                    reference / single,
-                    reference / par,
-                    single / par
+                    "    {{\"case\": \"{case}\", \"engine_1t_vs_reference\": {:.2}}}",
+                    reference / single
                 ));
             }
         }

@@ -10,9 +10,6 @@
 //! low-noise wall-clock estimator: every disturbance only ever adds
 //! time), and exits nonzero when the traced minimum exceeds the untraced
 //! one by more than the threshold (`OBS_OVERHEAD_MAX_PCT`, default 3).
-//! The engine is pinned to one thread for the measurement — fan-out
-//! scheduling jitter at conv-layer batch sizes is an order of magnitude
-//! larger than the tracing cost this gate is after.
 //!
 //! Before any timing, both variants run once and the sign flags are
 //! checked against the plaintext `(x_0 + x_1) mod Q > 0` — the gate can
@@ -251,12 +248,6 @@ fn main() -> ExitCode {
     let trials = env_f64("OBS_OVERHEAD_TRIALS", 21.0).max(1.0) as usize;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let iters = env_f64("OBS_OVERHEAD_ITERS", 6.0).max(1.0) as u32;
-
-    // One-thread pinning: remove parallel-engine scheduling jitter from
-    // the measurement (the tracing layer under test is thread-agnostic).
-    if std::env::var("AQ2PNN_THREADS").is_err() {
-        std::env::set_var("AQ2PNN_THREADS", "1");
-    }
 
     let mut results = Vec::new();
     for &(bits, n) in CASES {

@@ -28,7 +28,6 @@
 use crate::{PartyContext, ProtocolError, ReluMode, ReluRounds};
 use aq2pnn_obs::report::CAT_STAGE;
 use aq2pnn_ot::{recv_batch, send_batch_flat, OtChoice};
-use aq2pnn_parallel::{par_chunks_mut, par_fill_indexed};
 use aq2pnn_ring::{ct, simd, IsaLevel, RingTensor};
 use aq2pnn_sharing::a2b::{group_widths, split_groups_into};
 use aq2pnn_sharing::{AShare, PartyId};
@@ -39,10 +38,6 @@ const EQ: u64 = 2;
 const GT: u64 = 3;
 /// Bits per transmitted comparison code.
 const CODE_BITS: u32 = 2;
-/// Minimum per-thread work items for the batched fan-outs: comparison-code
-/// slots on the sender, per-value sign reductions on the receiver.
-const PAR_MIN_SLOTS: usize = 2048;
-const PAR_MIN_VALUES: usize = 1024;
 
 /// Eq. 6 comparison code for one group, branch-free: the sender's group
 /// value is a function of its secret share, so the code table build must
@@ -163,9 +158,7 @@ pub fn secure_sign(
         PartyId::User => {
             // Sender: u = −x_0, decomposed into one flat n × U group buffer.
             let a2bm = ctx.span_begin("a2bm", CAT_STAGE, &[]);
-            let mut neg = vec![0u64; n];
-            let x0 = x_q1.as_tensor().as_slice();
-            par_fill_indexed(&mut neg, PAR_MIN_VALUES, |v| ring.neg(x0[v]));
+            let neg: Vec<u64> = x_q1.as_tensor().as_slice().iter().map(|&x| ring.neg(x)).collect();
             let mut u_flat = Vec::new();
             split_groups_into(ring, &neg, &widths, &mut u_flat);
             ctx.span_end(a2bm);
@@ -223,7 +216,7 @@ pub fn secure_sign(
                     let undecided: Vec<usize> = bitmap
                         .iter()
                         .enumerate()
-                        .filter(|(_, &b)| b == 1)
+                        .filter(|(_, &bit)| bit == 1)
                         .map(|(i, _)| i)
                         .collect();
                     if !undecided.is_empty() {
@@ -280,12 +273,11 @@ pub fn secure_sign(
                         CODE_BITS,
                         &mut ctx.rng,
                     )?;
-                    let mut flags = vec![0u8; n];
                     #[allow(clippy::cast_possible_truncation)] // sign_flag is in {0, 1}
-                    par_fill_indexed(&mut flags, PAR_MIN_VALUES, |v| {
-                        let c = &codes[v * u_cnt..(v + 1) * u_cnt];
-                        sign_flag(c[0], c[1], &c[2..]) as u8
-                    });
+                    let flags: Vec<u8> = codes
+                        .chunks_exact(u_cnt)
+                        .map(|c| sign_flag(c[0], c[1], &c[2..]) as u8)
+                        .collect();
                     flags
                 }
                 ReluRounds::Lazy => {
@@ -298,25 +290,26 @@ pub fn secure_sign(
                         CODE_BITS,
                         &mut ctx.rng,
                     )?;
-                    // Undecided bitmap (1 = needs round 2) in one parallel
-                    // pass; the subset list and each undecided item's tail
-                    // position follow from one O(n) prefix walk. The bitmap
-                    // is secret-derived, but the lazy schedule *sends it to
-                    // the peer* two lines down — that disclosure is the
-                    // protocol's deliberate traffic/leak trade (DESIGN.md
-                    // §"Secrecy discipline"), so local branches on it reveal
-                    // nothing beyond what the wire already carries.
-                    let mut bitmap = vec![0u64; n];
-                    par_fill_indexed(&mut bitmap, PAR_MIN_VALUES, |v| ct::eq(head[2 * v + 1], EQ));
+                    // Undecided bitmap (1 = needs round 2) in one pass; the
+                    // subset list and each undecided item's tail position
+                    // follow from one O(n) prefix walk. The bitmap is
+                    // secret-derived, but the lazy schedule *sends it to the
+                    // peer* right after — that disclosure is the protocol's
+                    // deliberate traffic/leak trade (DESIGN.md §"Secrecy
+                    // discipline"), so local branches on it reveal nothing
+                    // beyond what the wire already carries.
+                    let undecided_bits: Vec<u64> =
+                        head.chunks_exact(2).map(|h| ct::eq(h[1], EQ)).collect();
                     let mut undecided = Vec::new();
                     let mut tail_pos = vec![0usize; n];
                     for v in 0..n {
                         tail_pos[v] = undecided.len();
-                        if bitmap[v] == 1 {
+                        // secrecy: allow(secret-branch, "the undecided bitmap is sent to the peer below by the lazy schedule's design, so branching on it discloses nothing the wire does not")
+                        if undecided_bits[v] == 1 {
                             undecided.push(v);
                         }
                     }
-                    ctx.ep.send_bits(&bitmap, 1)?;
+                    ctx.ep.send_bits(&undecided_bits, 1)?;
                     let tail = if undecided.is_empty() {
                         Vec::new()
                     } else {
@@ -339,17 +332,19 @@ pub fn secure_sign(
                         )?
                     };
                     let rest_groups = u_cnt - 2;
-                    let mut flags = vec![0u8; n];
                     #[allow(clippy::cast_possible_truncation)] // sign_flag is in {0, 1}
-                    par_fill_indexed(&mut flags, PAR_MIN_VALUES, |v| {
-                        let tail_codes = if bitmap[v] == 1 {
-                            let at = tail_pos[v] * rest_groups;
-                            &tail[at..at + rest_groups]
-                        } else {
-                            &[][..]
-                        };
-                        sign_flag(head[2 * v], head[2 * v + 1], tail_codes) as u8
-                    });
+                    let flags: Vec<u8> = (0..n)
+                        .map(|v| {
+                            // secrecy: allow(secret-branch, "same disclosed undecided bitmap as above")
+                            let tail_codes = if undecided_bits[v] == 1 {
+                                let at = tail_pos[v] * rest_groups;
+                                &tail[at..at + rest_groups]
+                            } else {
+                                &[][..]
+                            };
+                            sign_flag(head[2 * v], head[2 * v + 1], tail_codes) as u8
+                        })
+                        .collect();
                     flags
                 }
             };
@@ -368,9 +363,8 @@ pub fn secure_sign(
 /// Builds the sender's comparison-code matrix `M_i` (Fig. 5) for groups
 /// `from..to` of the items in `subset` (all items when `None`) directly
 /// into the reused flat `msgs`/`arity` buffers, laid out item-major →
-/// group-major → slot as [`send_batch_flat`] expects. The per-slot code
-/// evaluation fans out across threads; the full-item standard pattern
-/// (`from..to` covering every A2BM group, 4×4 code table) additionally
+/// group-major → slot as [`send_batch_flat`] expects. The full-item
+/// standard pattern (`from..to` covering every A2BM group, 4×4 code table)
 /// routes each item's fill through the width-specialized per-ISA kernel
 /// from [`aq2pnn_ring::simd`] (DESIGN.md §7.4).
 ///
@@ -478,22 +472,19 @@ fn fill_codes_impl(
     } else {
         None
     };
-    let mut item_rows: Vec<&mut [u64]> = msgs.chunks_mut(stride).collect();
-    par_chunks_mut(&mut item_rows, PAR_MIN_SLOTS / stride.max(1), |start, chunk| {
-        for (j, slots) in chunk.iter_mut().enumerate() {
-            let v = subset.map_or(start + j, |s| s[start + j]);
-            if let Some((f, rows16)) = item_kernel {
-                f(&u_flat[v * u_cnt..(v + 1) * u_cnt], rows16, slots);
-                continue;
-            }
-            for g in from..to {
-                let u = u_flat[v * u_cnt + g] as usize;
-                let n = 1usize << widths[g];
-                slots[offs[g - from]..offs[g - from] + n]
-                    .copy_from_slice(&rows[u * row_len..u * row_len + n]);
-            }
+    for (item, slots) in msgs.chunks_mut(stride).enumerate() {
+        let v = subset.map_or(item, |s| s[item]);
+        if let Some((f, rows16)) = item_kernel {
+            f(&u_flat[v * u_cnt..(v + 1) * u_cnt], rows16, slots);
+            continue;
         }
-    });
+        for g in from..to {
+            let u = u_flat[v * u_cnt + g] as usize;
+            let n = 1usize << widths[g];
+            slots[offs[g - from]..offs[g - from] + n]
+                .copy_from_slice(&rows[u * row_len..u * row_len + n]);
+        }
+    }
 }
 
 /// Builds the receiver's OT choice list for groups `from..to` of the items
@@ -548,15 +539,8 @@ pub fn mux_by_receiver(
             // two-slot-per-item buffer.
             let r = RingTensor::random(ring, vec![n], &mut ctx.rng);
             let (x0, rs) = (x.as_tensor().as_slice(), r.as_slice());
-            let mut msgs = vec![0u64; 2 * n];
-            par_fill_indexed(&mut msgs, PAR_MIN_SLOTS, |idx| {
-                let (k, b) = (idx / 2, idx % 2);
-                if b == 0 {
-                    ring.neg(rs[k])
-                } else {
-                    ring.sub(x0[k], rs[k])
-                }
-            });
+            let msgs: Vec<u64> =
+                x0.iter().zip(rs).flat_map(|(&x, &r)| [ring.neg(r), ring.sub(x, r)]).collect();
             let arity = vec![2usize; n];
             send_batch_flat(
                 &ctx.ep,
@@ -580,11 +564,9 @@ pub fn mux_by_receiver(
             // y1 = s·x1 + (s·x0 − r). The selection is branch-free: the
             // flags are the receiver's secret sign bits.
             let x1s = x.as_tensor().as_slice();
-            let mut data = vec![0u64; n];
-            par_fill_indexed(&mut data, PAR_MIN_VALUES, |k| {
-                let sx1 = ct::select(u64::from(flags[k]), x1s[k], 0);
-                ring.add(sx1, got[k])
-            });
+            let data: Vec<u64> = (0..n)
+                .map(|k| ring.add(ct::select(u64::from(flags[k]), x1s[k], 0), got[k]))
+                .collect();
             Ok(AShare::from_tensor(RingTensor::from_raw(ring, vec![n], data)?))
         }
     }

@@ -751,8 +751,7 @@ mod loom_tests {
     fn loom_dealer_stream_order_and_shutdown() {
         loom::model(|| {
             let mut dealer = TripleDealer::from_seed(7);
-            // 1×1 shapes keep the GEMM inline (no scoped-thread fan-out
-            // inside the model) and the state space small.
+            // 1×1 shapes keep the state space small.
             let (lane, _peer) = dealer.expanded_lane(Ring::new(8), &[1, 1], &[1, 1]);
             let mut reference = lane.clone();
             let expected: Vec<TripleShare> =

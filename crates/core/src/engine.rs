@@ -273,7 +273,7 @@ mod tests {
         /// live protocol: `abrelu ∘ maxpool` and `maxpool ∘ abrelu` yield
         /// identical *shares* under `RevealedSign` and identical values
         /// under `MaskedMux`, for padded and overlapping windows, batched
-        /// and not, at any thread count. Values span a few units around 0
+        /// and not. Values span a few units around 0
         /// so ties, zeros and all-negative windows are common.
         #[test]
         fn pool_then_relu_equals_relu_then_pool(
@@ -281,7 +281,6 @@ mod tests {
             geom in 0usize..3,
             batched in any::<bool>(),
             masked in any::<bool>(),
-            many_threads in any::<bool>(),
             spread in 1i64..128,
         ) {
             let (k, stride, pad) = [(2, 2, 0), (3, 2, 1), (3, 2, 0)][geom];
@@ -299,7 +298,6 @@ mod tests {
                 (0..b * c * hw * hw).map(|_| rng.gen_range(-spread..=spread)).collect();
             let t = RingTensor::from_signed(ring, vec![b * c, hw, hw], &vals).unwrap();
             let (s0, s1) = AShare::share(&t, &mut rng);
-            std::env::set_var("AQ2PNN_THREADS", if many_threads { "4" } else { "1" });
             let ((spec0, low0), (spec1, low1)) = run_pair(&cfg, move |ctx| {
                 let x = match ctx.id {
                     PartyId::User => s0.clone(),
@@ -311,7 +309,6 @@ mod tests {
                 let lowered = abrelu(ctx, &pooled).unwrap();
                 (spec, lowered)
             });
-            std::env::remove_var("AQ2PNN_THREADS");
             if !masked {
                 prop_assert_eq!(spec0.as_tensor(), low0.as_tensor());
                 prop_assert_eq!(spec1.as_tensor(), low1.as_tensor());

@@ -214,8 +214,8 @@ pub fn secure_matmul_prepared(
 /// Batched online AS-GEMM for prepared models: `b` images share **one**
 /// `E` exchange (all masks concatenated, one round-trip) and Eq. 1 is then
 /// evaluated as a single stacked GEMM whose row axis grows `b×` — the ring
-/// kernels see `[b·m, k] ⊗ [k, n]`, so per-call overheads (thread fan-out,
-/// round latency) amortize across the batch.
+/// kernels see `[b·m, k] ⊗ [k, n]`, so per-call overheads (operand
+/// demotion, round latency) amortize across the batch.
 ///
 /// `in_share` holds the `b` images' shares concatenated (flat,
 /// `b · ∏item_shape` elements); `item_shape` is the per-image feature-map

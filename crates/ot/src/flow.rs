@@ -7,27 +7,18 @@
 //! a key cache instead of once per item. The remaining per-item work (the
 //! `(R_k ⊕ r̂_i^{e2l(t)})^{r_i}` encryption powers on the sender, the mask
 //! rows and `r̂_i^{r_j}` decryption keys on the receiver) is pure and
-//! independent across items, so it fans out across threads via
-//! `aq2pnn-parallel` in contiguous chunks. All randomness is drawn
-//! *serially before* the fan-out and every output slot is written by
-//! exactly one thread, so results are bit-identical at any thread count and
-//! the wire traffic (bytes, messages, rounds) never changes.
+//! independent across items and runs as one flat loop on the caller's
+//! thread: a session's online pass is single-threaded, and concurrency
+//! comes from serving several sessions at once.
 //!
 //! [`send_batch_flat`] is the allocation-lean entry point: callers hand one
 //! flat slot buffer plus per-item arities instead of a `Vec` per item.
 
 use crate::{LabelTable, OtGroup};
-use aq2pnn_parallel::par_fill_indexed;
 use aq2pnn_transport::{Endpoint, TransportError};
 use rand::Rng;
 use std::error::Error;
 use std::fmt;
-
-/// Minimum encrypted slots each worker thread must have to justify a spawn
-/// (one slot = one group exponentiation + XOR).
-const PAR_MIN_SLOTS: usize = 512;
-/// Minimum batch items per worker for the per-item mask/key passes.
-const PAR_MIN_ITEMS: usize = 256;
 
 /// Errors surfaced by the OT-flow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,9 +123,8 @@ pub fn send_batch<R: Rng + ?Sized>(
 /// Eq. 4 unmask correctly (`R_k ⊕ r̂_i^{e2l(choice)} = g^{r_j}` when
 /// `t = choice`, hence `K_choice = g^{r_i·r_j} = KEY_j` of Eq. 5).
 ///
-/// The label powers `r̂_i^{e2l(t)}` are cached once per batch and the
-/// per-slot encryption fans out across threads; outputs and wire traffic
-/// are identical at every thread count.
+/// The label powers `r̂_i^{e2l(t)}` are cached once per batch, so the
+/// per-slot work is one exponentiation and one XOR.
 ///
 /// # Errors
 ///
@@ -171,27 +161,18 @@ pub fn send_batch_flat<R: Rng + ?Sized>(
     ep.send_bits(&[r_hat], ebits)?;
 
     // Step ③: receive R, encrypt every slot of every item. The slot mask
-    // powers are per-batch (key cache); the per-slot `(·)^{r_i}` encryption
-    // keys are item-independent work fanned out across threads over the
-    // flat output buffer.
+    // powers are per-batch (key cache); only the `(·)^{r_i}` encryption key
+    // is per slot.
     let r_matrix = ep.recv_bits(ebits, arity.len())?;
     let slot_pows = label_powers(group, labels, r_hat, max_slots);
-    let offsets = item_offsets(arity);
     let msg_mask = if msg_bits == 64 { u64::MAX } else { (1u64 << msg_bits) - 1 };
-    let mut enc = vec![0u64; msgs.len()];
-    aq2pnn_parallel::par_chunks_mut(&mut enc, PAR_MIN_SLOTS, |start, chunk| {
-        // First item whose slot range covers `start`, then a cursor walk.
-        let mut k = offsets.partition_point(|&o| o <= start) - 1;
-        for (j, slot) in chunk.iter_mut().enumerate() {
-            let idx = start + j;
-            while idx >= offsets[k + 1] {
-                k += 1;
-            }
-            let t = idx - offsets[k];
-            let key = group.pow(r_matrix[k] ^ slot_pows[t], r_i);
-            *slot = (msgs[idx] ^ key) & msg_mask;
+    let mut enc = Vec::with_capacity(msgs.len());
+    let mut slots = msgs.iter();
+    for (&r_k, &n) in r_matrix.iter().zip(arity) {
+        for (&m, &pow) in slots.by_ref().take(n).zip(&slot_pows) {
+            enc.push((m ^ group.pow(r_k ^ pow, r_i)) & msg_mask);
         }
-    });
+    }
     ep.send_bits(&enc, msg_bits)?;
     group.note_batch(
         arity.len(),
@@ -220,10 +201,9 @@ fn item_offsets(arity: &[usize]) -> Vec<usize> {
 /// sender learns nothing about the choices. Blocks until the peer runs
 /// [`send_batch`] / [`send_batch_flat`] with matching geometry.
 ///
-/// The choice-label powers `r̂_i^{e2l(c)}` are cached once per batch; mask
-/// construction (Eq. 2) and slot decryption (Eq. 5) fan out across threads
-/// after all `r_j` randomness is drawn serially, keeping outputs and wire
-/// traffic thread-count-independent.
+/// The choice-label powers `r̂_i^{e2l(c)}` are cached once per batch; all
+/// `r_j` randomness is drawn before mask construction (Eq. 2) and slot
+/// decryption (Eq. 5).
 ///
 /// # Errors
 ///
@@ -254,15 +234,15 @@ pub fn recv_batch<R: Rng + ?Sized>(
     let r_hat = ep.recv_bits(ebits, 1)?[0];
 
     // Step ②: R_k = r̂_i^{e2l(choice_k)} ⊕ g^{r_j(k)}  (Eq. 2). Randomness
-    // first (serial, deterministic draw order), then the pure mask math in
-    // parallel.
+    // first (deterministic draw order), then the pure mask math.
     let r_j: Vec<u64> = batch.iter().map(|_| group.sample_exponent(rng)).collect();
     let choice_pows = label_powers(group, labels, r_hat, max_slots);
-    let mut r_matrix = vec![0u64; batch.len()];
-    par_fill_indexed(&mut r_matrix, PAR_MIN_ITEMS, |k| {
+    let r_matrix: Vec<u64> = batch
+        .iter()
+        .zip(&r_j)
         // secrecy: allow(secret-index, "the choice indexes a table local to the receiver, who owns the secret; the wire value R_k is masked by a fresh uniform g^{r_j}")
-        choice_pows[batch[k].choice] ^ group.pow_g(r_j[k])
-    });
+        .map(|(c, &r)| choice_pows[c.choice] ^ group.pow_g(r))
+        .collect();
     ep.send_bits(&r_matrix, ebits)?;
 
     // Step ④: decrypt the chosen slot with KEY_j = r̂_i^{r_j}  (Eq. 5).
@@ -282,13 +262,16 @@ pub fn recv_batch<R: Rng + ?Sized>(
         ))));
     }
     let msg_mask = if msg_bits == 64 { u64::MAX } else { (1u64 << msg_bits) - 1 };
-    let mut out = vec![0u64; batch.len()];
-    par_fill_indexed(&mut out, PAR_MIN_ITEMS, |k| {
-        let key = group.pow(r_hat, r_j[k]);
-        let slot =
-            aq2pnn_transport::unpack_bits_at(&enc_bytes, msg_bits, offsets[k] + batch[k].choice);
-        (slot ^ key) & msg_mask
-    });
+    let out: Vec<u64> = batch
+        .iter()
+        .zip(&r_j)
+        .zip(&offsets)
+        .map(|((c, &r), &offset)| {
+            let key = group.pow(r_hat, r);
+            let slot = aq2pnn_transport::unpack_bits_at(&enc_bytes, msg_bits, offset + c.choice);
+            (slot ^ key) & msg_mask
+        })
+        .collect();
     group.note_batch(
         batch.len(),
         total,

@@ -1,22 +1,22 @@
-//! Property test: the OT-flow's thread fan-out is unobservable.
+//! Property test: a batched OT delivers exactly the chosen slots.
 //!
 //! For random batch geometries (mixed arities, message widths, group
-//! sizes), running the identical sender/receiver pair at different
-//! `AQ2PNN_THREADS` settings must yield bit-identical receiver outputs and
-//! byte-identical channel statistics — the parallel engine may never
-//! change a single wire byte or result bit.
+//! sizes), the receiver of one flat `send_batch_flat` / `recv_batch` pair
+//! must get exactly `msgs[offset_k + choice_k]` (masked to the message
+//! width) for every item `k`, and both transcripts must be exactly the
+//! packed sizes of the three protocol messages: `r̂_i` and the encrypted
+//! slots from the sender, the `R_k` mask row from the receiver.
 
 use aq2pnn_ot::{recv_batch, send_batch_flat, LabelTable, OtChoice, OtGroup};
-use aq2pnn_transport::{duplex, ChannelStats};
+use aq2pnn_transport::{duplex, packed_len, ChannelStats};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One full batched OT at a fixed thread count; returns the receiver's
-/// messages plus both endpoints' transcripts.
-fn run_at(
-    threads: &str,
+/// One full batched OT; returns the receiver's messages plus both
+/// endpoints' transcripts.
+fn run(
     bits: u32,
     arity: &[usize],
     msgs: &[u64],
@@ -24,7 +24,6 @@ fn run_at(
     msg_bits: u32,
     seed: u64,
 ) -> (Vec<u64>, ChannelStats, ChannelStats) {
-    std::env::set_var("AQ2PNN_THREADS", threads);
     let group = OtGroup::power_of_two(bits);
     let labels = LabelTable::generate(4, &group, &mut StdRng::seed_from_u64(77));
     let (a, b) = duplex();
@@ -38,14 +37,13 @@ fn run_at(
     let out = recv_batch(&b, &group, &labels, choices, msg_bits, &mut StdRng::seed_from_u64(!seed))
         .unwrap();
     let sender_stats = h.join().unwrap();
-    std::env::remove_var("AQ2PNN_THREADS");
     (out, sender_stats, b.stats())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
-    fn thread_count_never_changes_outputs_or_traffic(
+    fn receiver_gets_exactly_its_choices_at_packed_cost(
         (bits, msg_bits, seed, items) in (
             8u32..=16,
             2u32..=16,
@@ -64,27 +62,26 @@ proptest! {
             }
             choices.push(OtChoice { choice: (pick % n as u64) as usize, n });
         }
-        let runs: Vec<_> = ["1", "3", "8"]
-            .iter()
-            .map(|t| run_at(t, bits, &arity, &msgs, &choices, msg_bits, seed))
-            .collect();
-        // Correctness at every thread count: the receiver learns exactly
-        // its chosen slot of every item.
+        let (out, send, recv) = run(bits, &arity, &msgs, &choices, msg_bits, seed);
+        // The receiver learns exactly its chosen slot of every item.
         let mask = if msg_bits == 64 { u64::MAX } else { (1u64 << msg_bits) - 1 };
+        prop_assert_eq!(out.len(), choices.len());
         let mut offset = 0usize;
         for (k, c) in choices.iter().enumerate() {
-            let expect = msgs[offset + c.choice] & mask;
-            for (out, _, _) in &runs {
-                prop_assert_eq!(out[k], expect, "item {} choice {}", k, c.choice);
-            }
+            prop_assert_eq!(out[k], msgs[offset + c.choice] & mask, "item {} choice {}", k, c.choice);
             offset += c.n;
         }
-        // Invariance: outputs and full transcripts identical across runs.
-        let (out0, send0, recv0) = &runs[0];
-        for (out, send, recv) in &runs[1..] {
-            prop_assert_eq!(out, out0);
-            prop_assert_eq!(send, send0);
-            prop_assert_eq!(recv, recv0);
-        }
+        // Transcripts: the sender sends r̂_i then every encrypted slot, the
+        // receiver sends one R_k per item — nothing else, at packed width.
+        let to_receiver = packed_len(bits, 1) + packed_len(msg_bits, msgs.len());
+        let to_sender = packed_len(bits, choices.len());
+        prop_assert_eq!(send.bytes_sent, to_receiver as u64);
+        prop_assert_eq!(send.messages_sent, 2);
+        prop_assert_eq!(send.bytes_received, to_sender as u64);
+        prop_assert_eq!(send.messages_received, 1);
+        prop_assert_eq!(recv.bytes_sent, to_sender as u64);
+        prop_assert_eq!(recv.messages_sent, 1);
+        prop_assert_eq!(recv.bytes_received, to_receiver as u64);
+        prop_assert_eq!(recv.messages_received, 2);
     }
 }

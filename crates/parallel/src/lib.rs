@@ -1,15 +1,11 @@
-//! Scoped-thread data parallelism for the protocol hot paths.
+//! Background workers and the sync facade.
 //!
-//! The registry-free stand-in for `rayon`: output buffers are split into
-//! contiguous chunks and each chunk is processed on its own scoped thread
-//! (`std::thread::scope`). Because every output element is written by
-//! exactly one thread in a deterministic order, parallel execution is
-//! **bit-identical** to sequential execution — a hard requirement for the
-//! 2PC kernels, whose two parties must stay in exact agreement.
-//!
-//! Thread count comes from `AQ2PNN_THREADS` (if set) or the machine's
-//! available parallelism; callers pass a `min_chunk` so tiny inputs run
-//! inline without spawn overhead.
+//! A session's online pass runs on one thread per party; concurrency comes
+//! from serving several sessions at once, never from splitting one kernel
+//! call across threads. What remains here is the long-lived [`Worker`]
+//! (the server's per-session threads, the dealer's refill loop) and
+//! [`sync`], the lock/atomic facade that swaps its std backend for loom's
+//! under `--cfg loom` so those handshakes can be model-checked.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,86 +16,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::sync::{AtomicU64, Condvar, Mutex, Ordering};
-
-/// The maximum number of worker threads fan-outs will use: the
-/// `AQ2PNN_THREADS` environment variable when set (minimum 1), otherwise
-/// the machine's available parallelism.
-///
-/// The environment variable is re-read on every call (tests and benches
-/// toggle it at runtime), but the machine probe is cached: on Linux,
-/// `available_parallelism` re-reads cgroup files each call, which is
-/// microseconds — enough to dominate a small packing kernel's gate check.
-#[must_use]
-pub fn max_threads() -> usize {
-    static MACHINE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    if let Ok(v) = std::env::var("AQ2PNN_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    *MACHINE
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-}
-
-/// Splits `data` into at most [`max_threads`] contiguous chunks of at least
-/// `min_chunk` elements and runs `f(start_index, chunk)` on each, in
-/// parallel. Falls back to a single inline call when the input is small or
-/// only one thread is available.
-///
-/// `f` receives the chunk's offset into `data` so workers can index
-/// read-only context consistently.
-pub fn par_chunks_mut<T: Send, F>(data: &mut [T], min_chunk: usize, f: F)
-where
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let len = data.len();
-    let min_chunk = min_chunk.max(1);
-    let threads = max_threads().min(len.div_ceil(min_chunk)).max(1);
-    if threads == 1 {
-        f(0, data);
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (i, piece) in data.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(i * chunk, piece));
-        }
-    });
-}
-
-/// Overwrites every slot of `out` with `f(index)` across the worker pool —
-/// the fill counterpart of [`par_chunks_mut`] for kernels whose output is
-/// a pure function of the slot index (OT mask rows, decryption keys,
-/// comparison-code matrices). Deterministic and bit-identical at any
-/// thread count.
-pub fn par_fill_indexed<T: Send, F>(out: &mut [T], min_chunk: usize, f: F)
-where
-    F: Fn(usize) -> T + Sync,
-{
-    par_chunks_mut(out, min_chunk, |start, chunk| {
-        for (j, slot) in chunk.iter_mut().enumerate() {
-            *slot = f(start + j);
-        }
-    });
-}
-
-/// Runs `f(index)` for every index in `0..n` across the worker pool and
-/// collects the results in order. Used when the work items produce owned
-/// values rather than writing into a shared output slice.
-pub fn par_map_indexed<R: Send, F>(n: usize, min_chunk: usize, f: F) -> Vec<R>
-where
-    F: Fn(usize) -> R + Sync,
-{
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    par_chunks_mut(&mut out, min_chunk, |start, chunk| {
-        for (j, slot) in chunk.iter_mut().enumerate() {
-            *slot = Some(f(start + j));
-        }
-    });
-    out.into_iter().map(|v| v.expect("every index visited")).collect()
-}
 
 /// A boxed unit of work for a [`Worker`].
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -117,11 +33,10 @@ struct WorkerShared {
 
 /// A long-lived background worker thread with a FIFO job queue.
 ///
-/// Unlike the scoped fan-outs above — which exist only for the duration of
-/// one kernel call — a `Worker` persists across protocol operations, so
-/// subsystems can move work *off* the critical path entirely (the offline
-/// dealer pre-generates Beaver material here while the online pass runs on
-/// the caller's thread). Jobs run strictly in submission order on one
+/// A `Worker` persists across protocol operations, so subsystems can move
+/// work *off* the critical path entirely (the offline dealer pre-generates
+/// Beaver material here while the online pass runs on the caller's
+/// thread). Jobs run strictly in submission order on one
 /// thread, so a producer that must consume a deterministic RNG stream in
 /// order can rely on FIFO execution.
 ///
@@ -219,50 +134,6 @@ impl Drop for Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunks_cover_every_element_once() {
-        let mut data = vec![0u64; 10_007];
-        par_chunks_mut(&mut data, 16, |start, chunk| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v += (start + j) as u64 + 1;
-            }
-        });
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
-    }
-
-    #[test]
-    fn small_inputs_run_inline() {
-        let mut data = vec![1u8; 3];
-        par_chunks_mut(&mut data, 1024, |start, chunk| {
-            assert_eq!(start, 0);
-            assert_eq!(chunk.len(), 3);
-        });
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let mut data: Vec<u32> = Vec::new();
-        par_chunks_mut(&mut data, 8, |_, _| {});
-    }
-
-    #[test]
-    fn fill_indexed_overwrites_every_slot() {
-        let mut data = vec![u64::MAX; 4097];
-        par_fill_indexed(&mut data, 8, |i| (i as u64) * 3);
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64 * 3));
-    }
-
-    #[test]
-    fn map_indexed_preserves_order() {
-        let squares = par_map_indexed(1000, 8, |i| i * i);
-        assert!(squares.iter().enumerate().all(|(i, &v)| v == i * i));
-    }
-
-    #[test]
-    fn thread_cap_respected() {
-        assert!(max_threads() >= 1);
-    }
 
     /// Blocks until the worker has drained everything submitted so far,
     /// by rendezvousing on a sentinel job.

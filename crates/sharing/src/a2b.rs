@@ -92,8 +92,7 @@ pub fn split_groups(ring: Ring, x: u64) -> Vec<BitGroup> {
 /// (passed in so callers amortize it across rounds).
 ///
 /// Equivalent to `split_groups(ring, xs[v])[g].value` at `out[v * U + g]`,
-/// without the two per-element `Vec`s. The fill fans out across threads;
-/// output is bit-identical at any thread count.
+/// without the two per-element `Vec`s.
 ///
 /// # Panics
 ///
@@ -113,10 +112,11 @@ pub fn split_groups_into(ring: Ring, xs: &[u64], widths: &[u32], out: &mut Vec<u
     }
     out.clear();
     out.resize(xs.len() * u, 0);
-    aq2pnn_parallel::par_fill_indexed(out, 4096, |idx| {
-        let (v, g) = (idx / u, idx % u);
-        ((xs[v] >> shifts[g]) as u8) & masks[g]
-    });
+    for (row, &x) in out.chunks_exact_mut(u).zip(xs) {
+        for (g, slot) in row.iter_mut().enumerate() {
+            *slot = ((x >> shifts[g]) as u8) & masks[g];
+        }
+    }
 }
 
 /// Reassembles groups produced by [`split_groups`] back into a ring element.

@@ -56,10 +56,6 @@ impl TripleShare {
     }
 }
 
-/// Parallel fan-out kicks in once a matmul is at least this many MACs;
-/// below it, thread spawn overhead would dominate.
-const PAR_MIN_MACS: usize = 1 << 18;
-
 /// Plaintext matrix multiplication over a ring: `C[m,n] = A[m,k] ⊗ B[k,n]`,
 /// on the process-wide [`KernelDispatch`] table.
 ///
@@ -87,10 +83,8 @@ pub fn ring_matmul(a: &RingTensor, b: &RingTensor) -> Result<RingTensor, ShapeEr
 /// else `u64`), which doubles/quadruples SIMD lane counts on the narrow
 /// paper widths. Output rows are processed in register-blocked quads (one
 /// pass over each pair of `B` rows updates four `C` rows through the
-/// table's `axpy2` kernels) and large products fan out across threads by
-/// row chunks; every output element is written by exactly one thread, so
-/// parallel execution is deterministic, and the dispatch table only moves
-/// *when* the answer is ready, never *what* it is.
+/// table's `axpy2` kernels) on the caller's thread; the dispatch table
+/// only moves *when* the answer is ready, never *what* it is.
 /// [`ring_matmul_reference`] keeps the scalar triple loop for
 /// cross-checking.
 ///
@@ -119,41 +113,33 @@ pub fn ring_matmul_with(
     let mask = ra.mask();
     let (axpy, axpy2) = (d.axpy_u64, d.axpy2_u64);
     let mut out = vec![0u64; m * n];
-    // Row-aligned fan-out: size worker chunks so each gets at least
-    // PAR_MIN_MACS multiply-accumulates (small products run inline).
-    let macs_per_row = k.saturating_mul(n).max(1);
-    let min_rows = PAR_MIN_MACS.div_ceil(macs_per_row);
     let mut rows: Vec<&mut [u64]> = out.chunks_mut(n.max(1)).collect();
-    aq2pnn_parallel::par_chunks_mut(&mut rows, min_rows, |start, rows| {
-        for (q, quad) in rows.chunks_mut(4).enumerate() {
-            let i0 = start + q * 4;
-            if let [r0, r1, r2, r3] = quad {
-                accumulate_quad_u64(
-                    axpy,
-                    axpy2,
-                    [r0, r1, r2, r3],
-                    [
-                        &da[i0 * k..][..k],
-                        &da[(i0 + 1) * k..][..k],
-                        &da[(i0 + 2) * k..][..k],
-                        &da[(i0 + 3) * k..][..k],
-                    ],
-                    db,
-                    n,
-                );
-            } else {
-                for (t, row) in quad.iter_mut().enumerate() {
-                    accumulate_row_u64(axpy, row, &da[(i0 + t) * k..][..k], db, n);
-                }
+    for (q, quad) in rows.chunks_mut(4).enumerate() {
+        let i0 = q * 4;
+        if let [r0, r1, r2, r3] = quad {
+            accumulate_quad_u64(
+                axpy,
+                axpy2,
+                [r0, r1, r2, r3],
+                [
+                    &da[i0 * k..][..k],
+                    &da[(i0 + 1) * k..][..k],
+                    &da[(i0 + 2) * k..][..k],
+                    &da[(i0 + 3) * k..][..k],
+                ],
+                db,
+                n,
+            );
+        } else {
+            for (t, row) in quad.iter_mut().enumerate() {
+                accumulate_row_u64(axpy, row, &da[(i0 + t) * k..][..k], db, n);
             }
         }
-        // Deferred masking: one reduction per element, at write-out.
-        for row in rows.iter_mut() {
-            for v in row.iter_mut() {
-                *v &= mask;
-            }
-        }
-    });
+    }
+    // Deferred masking: one reduction per element, at write-out.
+    for v in &mut out {
+        *v &= mask;
+    }
     RingTensor::from_raw(ra, vec![m, n], out)
 }
 
@@ -179,39 +165,30 @@ macro_rules! narrow_matmul {
             let mask = ring.mask() as $t;
             let (axpy, axpy2) = (d.$axpy_field, d.$axpy2_field);
             let mut out = vec![0 as $t; m * n];
-            let macs_per_row = k.saturating_mul(n).max(1);
-            let min_rows = PAR_MIN_MACS.div_ceil(macs_per_row);
             let mut rows: Vec<&mut [$t]> = out.chunks_mut(n.max(1)).collect();
-            aq2pnn_parallel::par_chunks_mut(&mut rows, min_rows, |start, rows| {
-                for (q, quad) in rows.chunks_mut(4).enumerate() {
-                    let i0 = start + q * 4;
-                    if let [r0, r1, r2, r3] = quad {
-                        $quad_fn(
-                            axpy,
-                            axpy2,
-                            [r0, r1, r2, r3],
-                            [
-                                &an[i0 * k..][..k],
-                                &an[(i0 + 1) * k..][..k],
-                                &an[(i0 + 2) * k..][..k],
-                                &an[(i0 + 3) * k..][..k],
-                            ],
-                            &bn,
-                            n,
-                        );
-                    } else {
-                        for (t, row) in quad.iter_mut().enumerate() {
-                            $row_fn(axpy, row, &an[(i0 + t) * k..][..k], &bn, n);
-                        }
+            for (q, quad) in rows.chunks_mut(4).enumerate() {
+                let i0 = q * 4;
+                if let [r0, r1, r2, r3] = quad {
+                    $quad_fn(
+                        axpy,
+                        axpy2,
+                        [r0, r1, r2, r3],
+                        [
+                            &an[i0 * k..][..k],
+                            &an[(i0 + 1) * k..][..k],
+                            &an[(i0 + 2) * k..][..k],
+                            &an[(i0 + 3) * k..][..k],
+                        ],
+                        &bn,
+                        n,
+                    );
+                } else {
+                    for (t, row) in quad.iter_mut().enumerate() {
+                        $row_fn(axpy, row, &an[(i0 + t) * k..][..k], &bn, n);
                     }
                 }
-                for row in rows.iter_mut() {
-                    for v in row.iter_mut() {
-                        *v &= mask;
-                    }
-                }
-            });
-            out.into_iter().map(u64::from).collect()
+            }
+            out.into_iter().map(|v| u64::from(v & mask)).collect()
         }
 
         /// Accumulates `A[i,:] ⊗ B` into one unreduced output row.

@@ -89,78 +89,15 @@ impl KernelDispatch {
         KernelDispatch::for_isa(IsaLevel::Scalar)
     }
 
-    /// The process-wide table, resolved once from [`IsaLevel::active`]
-    /// (runtime CPU detection, `AQ2PNN_ISA` override respected), then
-    /// refined by a one-shot micro-calibration (see `calibrate_u16`
-    /// below; `AQ2PNN_NO_CALIBRATE` skips it and keeps the static
-    /// policy).
+    /// The process-wide table: [`KernelDispatch::for_isa`] at
+    /// [`IsaLevel::active`] (runtime CPU detection, `AQ2PNN_ISA` override
+    /// respected), resolved once. The policy is static, so the same binary
+    /// on the same host dispatches the same kernels on every run.
     #[must_use]
     pub fn active() -> &'static KernelDispatch {
         static ACTIVE: OnceLock<KernelDispatch> = OnceLock::new();
-        ACTIVE.get_or_init(|| {
-            let mut d = KernelDispatch::for_isa(IsaLevel::active());
-            calibrate_u16(&mut d);
-            d
-        })
+        ACTIVE.get_or_init(|| KernelDispatch::for_isa(IsaLevel::active()))
     }
-}
-
-/// Startup micro-calibration of the u16/AVX-512 policy.
-///
-/// [`KernelDispatch::for_isa`] pins the AVX-512 u16 entries to the scalar
-/// kernel because the 512-bit `mullo_epi16` loop *usually* loses at
-/// conv-shaped row lengths — but that static call was measured on one
-/// microarchitecture, and parts with fast 512-bit stores (or future ones
-/// without the downclocking penalty) can invert it. So on AVX-512 hosts
-/// the process-wide table re-measures both candidates once at startup
-/// (min-of-N timing of the `axpy2_u16` inner loop at n = 64, the
-/// L1-resident conv row shape) and keeps whichever wins. Calibration only
-/// ever swaps which *bit-identical* kernel runs, so transcripts are
-/// unaffected; `AQ2PNN_NO_CALIBRATE=1` skips the measurement and keeps
-/// the static policy (deterministic startup for benches that measure the
-/// kernels themselves).
-fn calibrate_u16(d: &mut KernelDispatch) {
-    if d.isa != IsaLevel::Avx512 || std::env::var_os("AQ2PNN_NO_CALIBRATE").is_some() {
-        return;
-    }
-    let scalar2 = simd::axpy2_u16_for(IsaLevel::Scalar);
-    let wide2 = simd::axpy2_u16_for(IsaLevel::Avx512);
-    let t_scalar = time_axpy2_u16(scalar2);
-    let t_wide = time_axpy2_u16(wide2);
-    let log = aq2pnn_obs::Tracer::disabled();
-    if t_wide < t_scalar {
-        d.axpy_u16 = simd::axpy_u16_for(IsaLevel::Avx512);
-        d.axpy2_u16 = wide2;
-        log.info(format!(
-            "kernel calibration: avx512 u16 axpy wins on this host \
-             ({t_wide}ns vs {t_scalar}ns scalar at n=64), overriding static policy"
-        ));
-    } else {
-        log.info(format!(
-            "kernel calibration: keeping scalar u16 axpy \
-             ({t_scalar}ns vs {t_wide}ns avx512 at n=64)"
-        ));
-    }
-}
-
-/// Min-of-N wall-clock of 256 `axpy2_u16` calls on an L1-resident n = 64
-/// row — the inner-loop shape of a conv-layer GEMM at ℓ ≤ 16.
-#[allow(clippy::cast_possible_truncation)]
-fn time_axpy2_u16(f: Axpy2U16Fn) -> u64 {
-    const N: usize = 64;
-    let b0 = [3u16; N];
-    let b1 = [5u16; N];
-    let mut row = [0u16; N];
-    let mut best = u64::MAX;
-    for _ in 0..7 {
-        let start = std::time::Instant::now();
-        for i in 0..256u16 {
-            f(&mut row, i | 1, &b0, 2, &b1);
-        }
-        best = best.min(start.elapsed().as_nanos() as u64);
-        std::hint::black_box(&mut row);
-    }
-    best
 }
 
 #[cfg(test)]

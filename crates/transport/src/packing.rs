@@ -25,19 +25,14 @@ pub fn packed_len(bits: u32, count: usize) -> usize {
     (count * bits as usize).div_ceil(8)
 }
 
-/// Parallel fan-out threshold for the bit-packed general case, in 8-element
-/// groups (each group is exactly `bits` bytes on the wire).
-const PAR_MIN_GROUPS: usize = 2048;
-
 /// Packs `elems`, each truncated to its low `bits` bits, into a dense
 /// little-endian bit stream.
 ///
 /// Widths that are a whole number of bytes (8/16/24/…/64 bits) take a fast
 /// path: each element is a straight copy of its low `bits/8` little-endian
-/// bytes, with no bit shifting. Other widths use the generic bit loop,
-/// fanned out across threads in 8-element groups — 8 elements span exactly
-/// `bits` bytes, so group boundaries are byte-aligned and workers never
-/// share a byte.
+/// bytes, with no bit shifting. Widths with a specialized kernel fill
+/// 8-element groups — 8 elements span exactly `bits` bytes, so group
+/// boundaries are byte-aligned; the rest use the generic bit loop.
 ///
 /// # Panics
 ///
@@ -108,35 +103,18 @@ pub fn pack_bits_with_isa(elems: &[u64], bits: u32, isa: IsaLevel) -> Vec<u8> {
         return out;
     }
     // 8 elements of any width span exactly `bits` bytes, so group
-    // boundaries are byte-aligned, workers never share a byte, and the
-    // specialized kernels (sub-byte comparison codes, the ℓ = 12/20 paper
-    // rings) can fill whole groups without bit-straddle logic.
-    let group_fn = simd::pack_group8_fn(isa, bits);
-    let group_bytes = bits as usize;
-    let full_groups = elems.len() / 8;
-    let serial = full_groups < PAR_MIN_GROUPS || aq2pnn_parallel::max_threads() == 1;
-    if group_fn.is_none() && serial {
-        // Unspecialized width, nothing to fan out: one pass of the bit loop.
+    // boundaries are byte-aligned and the specialized kernels (sub-byte
+    // comparison codes, the ℓ = 12/20 paper rings) can fill whole groups
+    // without bit-straddle logic.
+    let Some(group_fn) = simd::pack_group8_fn(isa, bits) else {
+        // Unspecialized width: one pass of the bit loop.
         pack_into(elems, bits, &mut out);
         return out;
-    }
-    let fill = |src: &[u64], buf: &mut [u8]| match group_fn {
-        Some(f) => f(src, buf),
-        None => pack_into(src, bits, buf),
     };
-    let (head, tail) = out.split_at_mut(full_groups * group_bytes);
-    if serial {
-        for (g, buf) in head.chunks_mut(group_bytes).enumerate() {
-            fill(&elems[g * 8..g * 8 + 8], buf);
-        }
-    } else {
-        let mut groups: Vec<&mut [u8]> = head.chunks_mut(group_bytes).collect();
-        aq2pnn_parallel::par_chunks_mut(&mut groups, PAR_MIN_GROUPS, |start, chunk| {
-            for (gi, buf) in chunk.iter_mut().enumerate() {
-                let g = start + gi;
-                fill(&elems[g * 8..g * 8 + 8], buf);
-            }
-        });
+    let full_groups = elems.len() / 8;
+    let (head, tail) = out.split_at_mut(full_groups * bits as usize);
+    for (buf, src) in head.chunks_exact_mut(bits as usize).zip(elems.chunks_exact(8)) {
+        group_fn(src, buf);
     }
     // Remainder (< 8 elements) starts on a byte boundary by construction.
     pack_into(&elems[full_groups * 8..], bits, tail);
@@ -169,8 +147,8 @@ fn pack_into(elems: &[u64], bits: u32, out: &mut [u8]) {
 /// produced by [`pack_bits`].
 ///
 /// Mirrors the [`pack_bits`] structure: whole-byte widths are straight
-/// little-endian byte reads, other widths decode in parallel 8-element
-/// groups on byte-aligned boundaries.
+/// little-endian byte reads, specialized widths decode 8-element groups on
+/// byte-aligned boundaries, the rest use the generic bit loop.
 ///
 /// # Panics
 ///
@@ -221,33 +199,17 @@ pub fn unpack_bits_with_isa(bytes: &[u8], bits: u32, count: usize, isa: IsaLevel
     }
     // Mirror of the grouped pack path: specialized widths decode whole
     // 8-element groups through the per-ISA kernel, the rest use the bit
-    // loop per group.
-    let group_fn = simd::unpack_group8_fn(isa, bits);
+    // loop.
     let mut out = vec![0u64; count];
-    let group_bytes = bits as usize;
-    let full_groups = count / 8;
-    let serial = full_groups < PAR_MIN_GROUPS || aq2pnn_parallel::max_threads() == 1;
-    if group_fn.is_none() && serial {
+    let Some(group_fn) = simd::unpack_group8_fn(isa, bits) else {
         unpack_into(bytes, bits, &mut out);
         return out;
-    }
-    let fill = |src: &[u8], grp: &mut [u64]| match group_fn {
-        Some(f) => f(src, grp),
-        None => unpack_into(src, bits, grp),
     };
+    let group_bytes = bits as usize;
+    let full_groups = count / 8;
     let (head, tail) = out.split_at_mut(full_groups * 8);
-    if serial {
-        for (g, grp) in head.chunks_mut(8).enumerate() {
-            fill(&bytes[g * group_bytes..(g + 1) * group_bytes], grp);
-        }
-    } else {
-        let mut groups: Vec<&mut [u64]> = head.chunks_mut(8).collect();
-        aq2pnn_parallel::par_chunks_mut(&mut groups, PAR_MIN_GROUPS, |start, chunk| {
-            for (gi, grp) in chunk.iter_mut().enumerate() {
-                let g = start + gi;
-                fill(&bytes[g * group_bytes..(g + 1) * group_bytes], grp);
-            }
-        });
+    for (grp, src) in head.chunks_exact_mut(8).zip(bytes.chunks_exact(group_bytes)) {
+        group_fn(src, grp);
     }
     unpack_into(&bytes[full_groups * group_bytes..], bits, tail);
     out

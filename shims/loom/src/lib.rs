@@ -709,6 +709,22 @@ pub mod sync {
                 maybe_switch();
                 self.v.fetch_add(val, o)
             }
+
+            /// Atomic compare-and-exchange (scheduling point).
+            ///
+            /// # Errors
+            ///
+            /// Returns the current value when it is not `current`.
+            pub fn compare_exchange(
+                &self,
+                current: usize,
+                new: usize,
+                success: Ordering,
+                failure: Ordering,
+            ) -> Result<usize, usize> {
+                maybe_switch();
+                self.v.compare_exchange(current, new, success, failure)
+            }
         }
 
         impl AtomicU64 {
@@ -716,6 +732,12 @@ pub mod sync {
             pub fn fetch_add(&self, val: u64, o: Ordering) -> u64 {
                 maybe_switch();
                 self.v.fetch_add(val, o)
+            }
+
+            /// Atomic subtract (scheduling point), returning the prior value.
+            pub fn fetch_sub(&self, val: u64, o: Ordering) -> u64 {
+                maybe_switch();
+                self.v.fetch_sub(val, o)
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Batched online pass: `PreparedModel::run_batch` over `B` images must
 //! recover logits **bit-identical** to `B` sequential `run` calls on the
-//! same prepared session — at every batch size, in both share-conversion
-//! configs, and at every thread count — and the background dealer must be
+//! same prepared session — at every batch size and in both
+//! share-conversion configs — and the background dealer must be
 //! a pure latency optimization: pooled triples produce the same logits as
 //! inline generation, and a strict pool that runs dry surfaces the typed
 //! [`ProtocolError::DealerExhausted`], never a panic or a desync.
@@ -94,29 +94,11 @@ fn run_batch_matches_sequential_runs() {
     let images = &model_and_images().1;
     for (name, cfg) in [("paper", ProtocolConfig::paper(16)), ("exact", ProtocolConfig::exact(16))]
     {
-        for b in [1usize, 2, 3, 5] {
+        for b in [1usize, 2, 3, 4, 5] {
             let seq = sequential_logits(&cfg, &images[..b]);
             let bat = batched_logits(&cfg, &images[..b]);
             assert_eq!(seq, bat, "cfg {name}, B = {b}: batched logits diverged from sequential");
         }
-    }
-}
-
-/// Thread count changes *when* GEMM rows are computed, never *what* they
-/// hold: the batched pass must produce the same bits at 1 and 4 workers.
-/// (`AQ2PNN_THREADS` is re-read per fan-out, so toggling it mid-process is
-/// supported; bit-identity across thread counts is a protocol invariant,
-/// so concurrent tests in this binary are unaffected by the toggle.)
-#[test]
-fn run_batch_bit_identical_across_thread_counts() {
-    let images = &model_and_images().1;
-    let cfg = ProtocolConfig::paper(16);
-    let baseline = sequential_logits(&cfg, &images[..4]);
-    for threads in ["1", "4"] {
-        std::env::set_var("AQ2PNN_THREADS", threads);
-        let got = batched_logits(&cfg, &images[..4]);
-        std::env::remove_var("AQ2PNN_THREADS");
-        assert_eq!(got, baseline, "B = 4 batched logits changed at {threads} thread(s)");
     }
 }
 

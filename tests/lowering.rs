@@ -11,7 +11,7 @@
 //!   and a residual branch containing the block is lowered too.
 //!
 //! The share-level identity itself (padded / overlapping windows, batches,
-//! thread counts, both `ReluMode`s) is the in-crate property test
+//! both `ReluMode`s) is the in-crate property test
 //! `engine::tests::pool_then_relu_equals_relu_then_pool`; the other zoo
 //! geometries run lowered through `tests/engine_coverage.rs` and
 //! `tests/two_party_inference.rs`, which compare against the spec-order
