@@ -1,10 +1,9 @@
 //! Hardware configuration of the simulated accelerator.
 
 use aq2pnn_transport::NetworkModel;
-use serde::{Deserialize, Serialize};
 
 /// How compute and communication interleave when estimating latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Overlap {
     /// Compute and transfer fully overlap (the paper's "continuous
     /// transmission and computation", Sec. 6.4): latency = max(…).
@@ -14,7 +13,7 @@ pub enum Overlap {
 }
 
 /// The simulated accelerator's parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwConfig {
     /// Fabric clock in Hz (ZCU104 design: 200 MHz).
     pub clock_hz: f64,

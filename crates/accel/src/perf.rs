@@ -4,10 +4,9 @@ use crate::hw::{HwConfig, Overlap};
 use crate::power::{party_watts, utilization_for_macs};
 use crate::resources::aq2pnn_total;
 use aq2pnn::instq::{Instr, Program};
-use serde::{Deserialize, Serialize};
 
 /// Performance estimate for one inference of one program — a Table 4 row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfReport {
     /// Fabric compute time (s), both pipelines.
     pub compute_s: f64,

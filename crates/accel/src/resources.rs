@@ -1,11 +1,10 @@
 //! Bottom-up FPGA resource model (paper Table 3).
 
 use crate::hw::HwConfig;
-use serde::{Deserialize, Serialize};
 use std::ops::Add;
 
 /// FPGA resource vector.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Resources {
     /// Look-up tables.
     pub lut: u64,

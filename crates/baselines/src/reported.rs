@@ -5,10 +5,8 @@
 //! measured by this reproduction; the harnesses print them side by side
 //! with our measured/modeled AQ2PNN rows.
 
-use serde::{Deserialize, Serialize};
-
 /// Which system a row describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum System {
     /// Falcon (Wagh et al.), honest-majority 3PC.
     Falcon,
@@ -34,7 +32,7 @@ impl System {
 }
 
 /// One reported Table 4 row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReportedRow {
     /// The system.
     pub system: System,

@@ -1,15 +1,15 @@
 //! Criterion benchmarks of the data-plane kernels behind the 2PC hot path,
-//! per ISA dispatch level and per ring width: the cache-blocked
-//! mask-deferred `ring_matmul` (three calls per conv layer, paper Eq. 1),
-//! the wire packers, and the A2BM comparison-code table fill — each run
-//! once per [`IsaLevel`] the host supports, against its scalar/generic
-//! reference.
+//! per ring width: the cache-blocked mask-deferred `ring_matmul` (three
+//! calls per conv layer, paper Eq. 1) once per [`IsaLevel`] the host
+//! supports, the wire packers and the A2BM comparison-code table fill —
+//! each against its scalar/generic reference.
 //!
 //! Every variant asserts bit-identity with the reference before it is
 //! timed, so this doubles as a correctness gate. On top of the timings
 //! printed per bench, the run emits `BENCH_kernels.json` (in the working
 //! directory) with every measurement plus derived `dispatch_speedups`
-//! (each ISA's win over the scalar dispatch at the same width), which the
+//! (each GEMM ISA's win over the scalar kernels at the same width, and the
+//! packers' and fill's win over their generic loops), which the
 //! `kernel_gate` binary compares against the committed
 //! `BENCH_kernels_baseline.json` in CI.
 
@@ -17,10 +17,7 @@ use aq2pnn::abrelu::{fill_sender_codes, fill_sender_codes_reference};
 use aq2pnn_ring::{IsaLevel, Ring, RingTensor};
 use aq2pnn_sharing::a2b::{group_widths, split_groups_into};
 use aq2pnn_sharing::beaver::{ring_matmul_reference, ring_matmul_with};
-use aq2pnn_sharing::kernels::KernelDispatch;
-use aq2pnn_transport::{
-    pack_bits_reference, pack_bits_with_isa, unpack_bits_reference, unpack_bits_with_isa,
-};
+use aq2pnn_transport::{pack_bits, pack_bits_reference, unpack_bits, unpack_bits_reference};
 use criterion::{all_results, criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,15 +64,14 @@ fn bench_ring_matmul(c: &mut Criterion) {
                 bch.iter(|| ring_matmul_reference(black_box(&a), black_box(&b)).unwrap());
             });
             for isa in IsaLevel::available() {
-                let d = KernelDispatch::for_isa(isa);
                 assert_eq!(
-                    ring_matmul_with(&d, &a, &b).unwrap(),
+                    ring_matmul_with(isa, &a, &b).unwrap(),
                     want,
                     "dispatch disagrees with reference at {case} on {isa}"
                 );
                 let id = BenchmarkId::new(&format!("matmul/{isa}_1t"), &case);
                 c.bench_with_input(id, &(), |bch, ()| {
-                    bch.iter(|| ring_matmul_with(&d, black_box(&a), black_box(&b)).unwrap());
+                    bch.iter(|| ring_matmul_with(isa, black_box(&a), black_box(&b)).unwrap());
                 });
             }
         }
@@ -94,26 +90,14 @@ fn bench_packing(c: &mut Criterion) {
         c.bench_with_input(BenchmarkId::new("unpack/reference", bits), &(), |bch, ()| {
             bch.iter(|| unpack_bits_reference(black_box(&packed), bits, PACK_COUNT));
         });
-        for isa in IsaLevel::available() {
-            assert_eq!(
-                pack_bits_with_isa(&elems, bits, isa),
-                packed,
-                "packer disagrees with reference at {bits} bits on {isa}"
-            );
-            assert_eq!(
-                unpack_bits_with_isa(&packed, bits, PACK_COUNT, isa),
-                elems,
-                "unpacker disagrees with reference at {bits} bits on {isa}"
-            );
-            let id = BenchmarkId::new(&format!("pack/{isa}"), bits);
-            c.bench_with_input(id, &(), |bch, ()| {
-                bch.iter(|| pack_bits_with_isa(black_box(&elems), bits, isa));
-            });
-            let id = BenchmarkId::new(&format!("unpack/{isa}"), bits);
-            c.bench_with_input(id, &(), |bch, ()| {
-                bch.iter(|| unpack_bits_with_isa(black_box(&packed), bits, PACK_COUNT, isa));
-            });
-        }
+        assert_eq!(pack_bits(&elems, bits), packed, "packer disagrees at {bits} bits");
+        assert_eq!(unpack_bits(&packed, bits, PACK_COUNT), elems, "unpacker disagrees at {bits}");
+        c.bench_with_input(BenchmarkId::new("pack/scalar", bits), &(), |bch, ()| {
+            bch.iter(|| pack_bits(black_box(&elems), bits));
+        });
+        c.bench_with_input(BenchmarkId::new("unpack/scalar", bits), &(), |bch, ()| {
+            bch.iter(|| unpack_bits(black_box(&packed), bits, PACK_COUNT));
+        });
     }
 }
 
@@ -156,29 +140,25 @@ fn bench_fill_codes(c: &mut Criterion) {
                 });
             });
         }
-        for isa in IsaLevel::available() {
-            let (mut msgs, mut arity) = (Vec::new(), Vec::new());
-            fill_sender_codes(&u_flat, u_cnt, &widths, 0, u_cnt, None, isa, &mut msgs, &mut arity);
-            assert_eq!(msgs, want_msgs, "code fill disagrees at l{bits} on {isa}");
-            assert_eq!(arity, want_arity, "arity disagrees at l{bits} on {isa}");
-            let id = BenchmarkId::new(&format!("fill_codes/{isa}"), bits);
-            c.bench_with_input(id, &(), |bch, ()| {
-                bch.iter(|| {
-                    fill_sender_codes(
-                        black_box(&u_flat),
-                        u_cnt,
-                        &widths,
-                        0,
-                        u_cnt,
-                        None,
-                        isa,
-                        &mut msgs,
-                        &mut arity,
-                    );
-                    msgs.len()
-                });
+        let (mut msgs, mut arity) = (Vec::new(), Vec::new());
+        fill_sender_codes(&u_flat, u_cnt, &widths, 0, u_cnt, None, &mut msgs, &mut arity);
+        assert_eq!(msgs, want_msgs, "code fill disagrees at l{bits}");
+        assert_eq!(arity, want_arity, "arity disagrees at l{bits}");
+        c.bench_with_input(BenchmarkId::new("fill_codes/scalar", bits), &(), |bch, ()| {
+            bch.iter(|| {
+                fill_sender_codes(
+                    black_box(&u_flat),
+                    u_cnt,
+                    &widths,
+                    0,
+                    u_cnt,
+                    None,
+                    &mut msgs,
+                    &mut arity,
+                );
+                msgs.len()
             });
-        }
+        });
     }
 }
 
@@ -257,34 +237,30 @@ fn write_report(path: &str) -> std::io::Result<()> {
                 format!("matmul/{isa}_1t/{case}"),
             );
         }
-        for &bits in PACK_BITS {
+    }
+    // The packers and the code fill have one (scalar) implementation, so
+    // their rows carry only the win over the generic loop.
+    for &bits in PACK_BITS {
+        for kernel in ["pack", "unpack"] {
             push_row(
-                "pack",
+                kernel,
                 bits,
-                isa,
-                format!("pack/reference/{bits}"),
-                format!("pack/scalar/{bits}"),
-                format!("pack/{isa}/{bits}"),
-            );
-            push_row(
-                "unpack",
-                bits,
-                isa,
-                format!("unpack/reference/{bits}"),
-                format!("unpack/scalar/{bits}"),
-                format!("unpack/{isa}/{bits}"),
+                IsaLevel::Scalar,
+                format!("{kernel}/reference/{bits}"),
+                format!("{kernel}/scalar/{bits}"),
+                format!("{kernel}/scalar/{bits}"),
             );
         }
-        for &bits in FILL_L {
-            push_row(
-                "fill_codes",
-                bits,
-                isa,
-                format!("fill_codes/reference/{bits}"),
-                format!("fill_codes/scalar/{bits}"),
-                format!("fill_codes/{isa}/{bits}"),
-            );
-        }
+    }
+    for &bits in FILL_L {
+        push_row(
+            "fill_codes",
+            bits,
+            IsaLevel::Scalar,
+            format!("fill_codes/reference/{bits}"),
+            format!("fill_codes/scalar/{bits}"),
+            format!("fill_codes/scalar/{bits}"),
+        );
     }
     out.push_str(&lines.join(",\n"));
     out.push_str("\n  ]\n}\n");

@@ -28,7 +28,7 @@
 use crate::{PartyContext, ProtocolError, ReluMode, ReluRounds};
 use aq2pnn_obs::report::CAT_STAGE;
 use aq2pnn_ot::{recv_batch, send_batch_flat, OtChoice};
-use aq2pnn_ring::{ct, simd, IsaLevel, RingTensor};
+use aq2pnn_ring::{ct, RingTensor};
 use aq2pnn_sharing::a2b::{group_widths, split_groups_into};
 use aq2pnn_sharing::{AShare, PartyId};
 
@@ -168,15 +168,7 @@ pub fn secure_sign(
             match ctx.cfg.relu_rounds {
                 ReluRounds::Single => {
                     fill_sender_codes(
-                        &u_flat,
-                        u_cnt,
-                        &widths,
-                        0,
-                        u_cnt,
-                        None,
-                        IsaLevel::active(),
-                        &mut msgs,
-                        &mut arity,
+                        &u_flat, u_cnt, &widths, 0, u_cnt, None, &mut msgs, &mut arity,
                     );
                     send_batch_flat(
                         &ctx.ep,
@@ -190,17 +182,7 @@ pub fn secure_sign(
                 }
                 ReluRounds::Lazy => {
                     // Round 1: quadrant groups.
-                    fill_sender_codes(
-                        &u_flat,
-                        u_cnt,
-                        &widths,
-                        0,
-                        2,
-                        None,
-                        IsaLevel::active(),
-                        &mut msgs,
-                        &mut arity,
-                    );
+                    fill_sender_codes(&u_flat, u_cnt, &widths, 0, 2, None, &mut msgs, &mut arity);
                     send_batch_flat(
                         &ctx.ep,
                         &ctx.group,
@@ -227,7 +209,6 @@ pub fn secure_sign(
                             2,
                             u_cnt,
                             Some(&undecided),
-                            IsaLevel::active(),
                             &mut msgs,
                             &mut arity,
                         );
@@ -365,12 +346,8 @@ pub fn secure_sign(
 /// into the reused flat `msgs`/`arity` buffers, laid out item-major →
 /// group-major → slot as [`send_batch_flat`] expects. The full-item
 /// standard pattern (`from..to` covering every A2BM group, 4×4 code table)
-/// routes each item's fill through the width-specialized per-ISA kernel
-/// from [`aq2pnn_ring::simd`] (DESIGN.md §7.4).
-///
-/// Public (with an explicit `isa`) so benches and identity tests can drive
-/// the kernel per ISA level; the protocol calls it with
-/// [`IsaLevel::active`]. The produced codes are ISA-independent.
+/// fills each item through a per-item kernel monomorphized for the
+/// paper's ring widths.
 ///
 /// # Panics
 ///
@@ -384,17 +361,16 @@ pub fn fill_sender_codes(
     from: usize,
     to: usize,
     subset: Option<&[usize]>,
-    isa: IsaLevel,
     msgs: &mut Vec<u64>,
     arity: &mut Vec<usize>,
 ) {
-    fill_codes_impl(u_flat, u_cnt, widths, from, to, subset, Some(isa), msgs, arity);
+    fill_codes_impl(u_flat, u_cnt, widths, from, to, subset, true, msgs, arity);
 }
 
-/// [`fill_sender_codes`] with the per-ISA item kernel disabled: the
-/// pre-dispatch generic loop (precomputed code rows + per-group memcpy),
-/// kept as the speedup denominator for the kernel benches and as a second
-/// ground truth for identity tests.
+/// [`fill_sender_codes`] with the per-item kernel disabled: the generic
+/// loop (precomputed code rows + per-group memcpy), kept as the speedup
+/// denominator for the kernel benches and as a second ground truth for
+/// identity tests.
 ///
 /// # Panics
 ///
@@ -410,7 +386,7 @@ pub fn fill_sender_codes_reference(
     msgs: &mut Vec<u64>,
     arity: &mut Vec<usize>,
 ) {
-    fill_codes_impl(u_flat, u_cnt, widths, from, to, subset, None, msgs, arity);
+    fill_codes_impl(u_flat, u_cnt, widths, from, to, subset, false, msgs, arity);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -421,7 +397,7 @@ fn fill_codes_impl(
     from: usize,
     to: usize,
     subset: Option<&[usize]>,
-    isa: Option<IsaLevel>,
+    item_kernels: bool,
     msgs: &mut Vec<u64>,
     arity: &mut Vec<usize>,
 ) {
@@ -455,7 +431,7 @@ fn fill_codes_impl(
     }
     // Full-item standard pattern: two 1-bit quadrant groups then *only*
     // 2-bit groups — a 4×4 code table and stride 4·(U−1). This is the
-    // single-round schedule's shape on even ℓ, so it gets the per-ISA item
+    // single-round schedule's shape on even ℓ, so it gets the per-item
     // kernel; partial ranges (the lazy schedule's rounds) and odd-ℓ rings
     // (whose last group is 1-bit) keep the generic loop below.
     let standard = from == 0
@@ -464,14 +440,10 @@ fn fill_codes_impl(
         && widths[0] == 1
         && widths[1] == 1
         && widths[2..u_cnt].iter().all(|&w| w == 2);
-    let item_kernel = if standard {
-        isa.and_then(|isa| simd::fill_codes_item_fn(isa, u_cnt)).map(|f| {
-            let rows16: &[u64; 16] = rows.as_slice().try_into().expect("4x4 code table");
-            (f, rows16)
-        })
-    } else {
-        None
-    };
+    let item_kernel = (item_kernels && standard).then(|| {
+        let rows16: &[u64; 16] = rows.as_slice().try_into().expect("4x4 code table");
+        (fill_codes_item_fn(u_cnt), rows16)
+    });
     for (item, slots) in msgs.chunks_mut(stride).enumerate() {
         let v = subset.map_or(item, |s| s[item]);
         if let Some((f, rows16)) = item_kernel {
@@ -484,6 +456,46 @@ fn fill_codes_impl(
             slots[offs[g - from]..offs[g - from] + n]
                 .copy_from_slice(&rows[u * row_len..u * row_len + n]);
         }
+    }
+}
+
+/// The per-item fill for `u_cnt` groups: monomorphized at the paper's
+/// ring widths (`u_cnt` = 7/9/11/17 for ℓ = 12/16/20/32), else runtime-`U`.
+pub(crate) fn fill_codes_item_fn(u_cnt: usize) -> fn(&[u8], &[u64; 16], &mut [u64]) {
+    match u_cnt {
+        7 => fill_codes_item::<7>,
+        9 => fill_codes_item::<9>,
+        11 => fill_codes_item::<11>,
+        17 => fill_codes_item::<17>,
+        _ => fill_codes_item_dyn,
+    }
+}
+
+/// [`fill_codes_item_dyn`] at a compile-time group count, so the copy
+/// loop is fully unrolled with constant offsets.
+fn fill_codes_item<const U: usize>(u: &[u8], rows: &[u64; 16], slots: &mut [u64]) {
+    assert_eq!(u.len(), U, "group value count mismatch");
+    fill_codes_item_dyn(u, rows, slots);
+}
+
+/// Fills one item's `4·(U−1)` OT slots for the standard A2BM group
+/// pattern (widths `[1, 1, 2, 2, …]`) from the 4×4 `code(u, ·)` row
+/// table: groups 0–1 copy 2 slots each, groups 2… copy 4. Table indexing
+/// is bounds-checked, so a group value past its row panics.
+#[inline(always)]
+pub(crate) fn fill_codes_item_dyn(u: &[u8], rows: &[u64; 16], slots: &mut [u64]) {
+    assert!(u.len() >= 2, "the standard pattern has at least the two quadrant groups");
+    assert_eq!(slots.len(), 4 * (u.len() - 1), "slot run length mismatch");
+    let r0 = usize::from(u[0]) * 4;
+    slots[0] = rows[r0];
+    slots[1] = rows[r0 + 1];
+    let r1 = usize::from(u[1]) * 4;
+    slots[2] = rows[r1];
+    slots[3] = rows[r1 + 1];
+    for (g, &ug) in u.iter().enumerate().skip(2) {
+        let r = usize::from(ug) * 4;
+        let dst = 4 * (g - 1);
+        slots[dst..dst + 4].copy_from_slice(&rows[r..r + 4]);
     }
 }
 
@@ -669,10 +681,11 @@ mod tests {
         assert!(sign_from_codes(&codes(100, -95)));
     }
 
-    /// The per-ISA item kernel must reproduce the generic slot loop
-    /// exactly: for every available ISA, ring width (monomorphized group
-    /// counts 7/9/11/17 and dyn-fallback counts), schedule range, and
-    /// subset shape, the flat OT message/arity buffers are identical.
+    /// The sender's codes do not depend on the host or on which fill path
+    /// runs: for every ring width (monomorphized group counts 7/9/11/17
+    /// and dyn-fallback counts), schedule range, and subset shape, the
+    /// item kernels, the generic loop and a direct per-slot evaluation of
+    /// the Eq. 6 code give identical flat OT message/arity buffers.
     #[test]
     fn sender_codes_isa_independent() {
         let mut rng = StdRng::seed_from_u64(99);
@@ -696,12 +709,9 @@ mod tests {
                     from,
                     to,
                     sub,
-                    IsaLevel::Scalar,
                     &mut want_msgs,
                     &mut want_arity,
                 );
-                // Cross-check the scalar kernel against a direct per-slot
-                // evaluation of the Eq. 6 code.
                 let items = sub.map_or(n, <[usize]>::len);
                 let stride: usize = widths[from..to].iter().map(|&w| 1usize << w).sum();
                 assert_eq!(want_msgs.len(), items * stride);
@@ -722,14 +732,6 @@ mod tests {
                 );
                 assert_eq!(msgs, want_msgs, "reference bits={bits} from={from} to={to}");
                 assert_eq!(arity, want_arity, "reference bits={bits}");
-                for isa in IsaLevel::available() {
-                    let (mut msgs, mut arity) = (Vec::new(), Vec::new());
-                    fill_sender_codes(
-                        &u_flat, u_cnt, &widths, from, to, sub, isa, &mut msgs, &mut arity,
-                    );
-                    assert_eq!(msgs, want_msgs, "isa={isa} bits={bits} from={from} to={to}");
-                    assert_eq!(arity, want_arity, "isa={isa} bits={bits}");
-                }
             }
         }
     }

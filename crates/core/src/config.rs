@@ -1,9 +1,7 @@
 //! Protocol configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// How 2PC-BNReQ truncates shares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TruncationMode {
     /// SecureML-style local truncation — what the hardware does. Off by
     /// ±1 LSB, with a rare (`≈|x|/2^ℓ`) catastrophic wrap.
@@ -15,7 +13,7 @@ pub enum TruncationMode {
 
 /// How shares are widened from the activation carrier `Q1` to the MAC ring
 /// `Q2` (paper Fig. 8 step ④).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtensionMode {
     /// Local sign extension of each share — the paper's method; fails per
     /// element with probability `≈|x|/2^{Q1}`.
@@ -25,7 +23,7 @@ pub enum ExtensionMode {
 }
 
 /// How activations are carried between operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineMode {
     /// Activation shares stay on the wide MAC ring `Q2` end to end;
     /// ABReLU *narrows* them to `Q1` for the comparison (narrowing shares
@@ -46,7 +44,7 @@ pub enum PipelineMode {
 }
 
 /// What happens to the comparison outcome at the end of ABReLU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReluMode {
     /// Paper-faithful: the receiver derives the sign bits and sends the
     /// `T_m` mask to the sender (paper Fig. 4 / OUT-MSK buffer); both
@@ -61,7 +59,7 @@ pub enum ReluMode {
 }
 
 /// Whether ABReLU fetches all bit-group comparisons at once or lazily.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReluRounds {
     /// One OT round covering every group — latency-optimal.
     Single,
@@ -77,7 +75,7 @@ pub enum ReluRounds {
 /// ABReLU", the knob swept in paper Tables 7–8. `q2_bits` is the MAC ring
 /// the convolutions accumulate on (paper: `Q2 = Q1 + 16`, the Fig. 9
 /// plaintext accumulator expansion).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolConfig {
     /// Activation-carrier ring width `ℓ1` (`Q1 = 2^{ℓ1}`).
     pub q1_bits: u32,

@@ -18,10 +18,9 @@ use aq2pnn_nn::quant::{QuantModel, QuantOp};
 use aq2pnn_ring::HEADROOM_BITS;
 use aq2pnn_sharing::a2b::group_widths;
 use aq2pnn_transport::packed_len;
-use serde::{Deserialize, Serialize};
 
 /// AS-ALU operation classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluKind {
     /// C-C addition (bias, residual adds, pooling sums).
     Add,
@@ -32,7 +31,7 @@ pub enum AluKind {
 }
 
 /// One compiled instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Instr {
     /// Stream weights into the AS-WGT buffer.
     LoadWeights {
@@ -82,7 +81,7 @@ pub enum Instr {
 }
 
 /// A compiled instruction stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Model name.
     pub name: String,

@@ -89,6 +89,8 @@ mod party;
 pub mod planner;
 pub mod prepared;
 pub mod sim;
+#[cfg(test)]
+mod simd;
 
 pub use config::{
     ExtensionMode, PipelineMode, ProtocolConfig, ReluMode, ReluRounds, TruncationMode,

@@ -11,10 +11,9 @@ use crate::lower::Lowering;
 use crate::ProtocolConfig;
 use aq2pnn_nn::quant::{QuantModel, QuantOp};
 use aq2pnn_ring::HEADROOM_BITS;
-use serde::{Deserialize, Serialize};
 
 /// Per-GEMM-layer accumulator analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerPlan {
     /// Engine layer index (matches the engine's phase labels).
     pub layer: usize,
@@ -30,7 +29,7 @@ pub struct LayerPlan {
 }
 
 /// The session plan derived from a model and an ABReLU width target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptivePlan {
     /// Target ABReLU (activation carrier) width — the paper's swept knob.
     pub q1_bits: u32,

@@ -1,13 +1,11 @@
 //! Boolean circuits and builders.
 
-use serde::{Deserialize, Serialize};
-
 /// Wire identifier.
 pub type WireId = usize;
 
 /// A gate in a boolean circuit. NOT is expressed as XOR with the constant
 /// one wire so that free-XOR covers it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
     /// `out = a ⊕ b` (free under free-XOR garbling).
     Xor {
@@ -30,7 +28,7 @@ pub enum Gate {
 }
 
 /// A boolean circuit over two parties' bit inputs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Circuit {
     /// Total wires. Wires `0` and `1` are the constants 0 and 1.
     pub wires: usize,

@@ -2,13 +2,12 @@
 //! GC-vs-ABReLU comparison (paper Sec. 2.2).
 
 use crate::circuit::Circuit;
-use serde::{Deserialize, Serialize};
 
 /// Size of one wire label in bytes.
 pub const LABEL_BYTES: u64 = 16;
 
 /// Communication/size profile of garbling + evaluating a circuit once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcCost {
     /// Total wires in the circuit (the paper's "67.9 K wires" metric).
     pub wires: u64,

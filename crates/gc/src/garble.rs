@@ -3,7 +3,6 @@
 use crate::circuit::{Circuit, Gate, WireId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A 128-bit wire label.
 pub type Label = [u64; 2];
@@ -32,7 +31,7 @@ pub fn hash(a: Label, b: Label, gate: u64) -> Label {
 }
 
 /// A garbled AND-gate table: four rows indexed by the inputs' permute bits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GarbledTable {
     /// Rows indexed `2·p_a + p_b`.
     pub rows: [Label; 4],

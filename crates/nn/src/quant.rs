@@ -27,10 +27,9 @@ use crate::NnError;
 use aq2pnn_ring::Ring;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Quantization hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantConfig {
     /// Weight bit-width (paper: 8).
     pub weight_bits: u32,
@@ -50,7 +49,7 @@ impl QuantConfig {
 }
 
 /// A dyadic re-quantization factor `I_m / 2^{I_e}` (paper Sec. 5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Requant {
     /// The integer multiplier `I_m`.
     pub mult: i64,
@@ -108,7 +107,7 @@ impl Requant {
 }
 
 /// One operator of a quantized model. Weights are BN-folded integers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QuantOp {
     /// Convolution + folded BN + requantization (`2PC-Conv2D` + `2PC-BNReQ`).
     Conv2d {
@@ -208,7 +207,7 @@ pub enum QuantOp {
 }
 
 /// A quantized model: integer ops plus input/output scales.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantModel {
     /// Architecture name (from the spec).
     pub name: String,

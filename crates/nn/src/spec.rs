@@ -9,11 +9,10 @@
 //! running them functionally would need the real dataset.
 
 use crate::NnError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Shape of an activation flowing between operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TensorShape {
     /// Channel × height × width feature map.
     Chw(usize, usize, usize),
@@ -43,7 +42,7 @@ impl fmt::Display for TensorShape {
 
 /// One operator in a model spec. Input channel/feature counts are inferred
 /// during shape propagation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpSpec {
     /// 2D convolution (square kernel) with bias.
     Conv2d {
@@ -99,7 +98,7 @@ pub enum OpSpec {
 }
 
 /// Coarse operator category used by cost models and the 2PC compiler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Convolution (AS-GEMM bound).
     Conv,
@@ -122,7 +121,7 @@ pub enum LayerKind {
 }
 
 /// Derived per-layer cost record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerCost {
     /// Hierarchical label, e.g. `"block3.main.conv1"`.
     pub label: String,
@@ -142,7 +141,7 @@ pub struct LayerCost {
 }
 
 /// A complete architecture description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Human-readable name, e.g. `"resnet18-imagenet"`.
     pub name: String,

@@ -1,12 +1,10 @@
 //! Minimal f32 tensor in CHW layout (single image; batching is a loop).
 
-use serde::{Deserialize, Serialize};
-
 /// A dense f32 tensor with an explicit shape, row-major.
 ///
 /// The float training stack works on single examples in CHW layout; the
 /// quantized and 2PC engines consume flattened views.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

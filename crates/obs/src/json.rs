@@ -1,7 +1,7 @@
 //! Minimal JSON document model, writer and parser.
 //!
-//! The workspace vendors a no-op `serde` shim (no registry access), so the
-//! exporters carry their own small JSON layer: a [`Json`] value tree, an
+//! The workspace has no serialization dependency (no registry access), so
+//! the exporters carry their own small JSON layer: a [`Json`] value tree, an
 //! escaping writer, and a recursive-descent parser. The parser exists so
 //! emitted documents can be *read back* — `cargo xtask report` rebuilds
 //! the cost table from `trace.json`/`metrics.json`, and the tests validate

@@ -10,12 +10,11 @@
 
 use crate::OtGroup;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A shared, per-session injective map from slot indices to random group
 /// exponents.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct LabelTable {
     labels: Vec<u64>,
 }

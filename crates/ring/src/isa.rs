@@ -1,55 +1,43 @@
-//! Runtime CPU-feature detection for the explicit-SIMD kernel paths.
+//! Runtime CPU-feature detection for the hand-written GEMM kernels.
 //!
-//! The workspace used to lean on `-C target-cpu=native` autovectorization
-//! for its vector code (DESIGN.md §7.4, former "codegen note"). The kernel
-//! dispatch layer replaces that bet with an explicit contract: every
-//! SIMD path is selected **at runtime** from [`IsaLevel::detect`], so a
-//! binary compiled for the portable x86-64 SSE2 baseline still runs the
-//! AVX2/AVX-512 kernels on hardware that has them — and a binary compiled
-//! with native codegen never executes an instruction the host lacks.
+//! Every SIMD path is selected **at runtime** from [`IsaLevel::detect`],
+//! so a binary compiled for the portable x86-64 SSE2 baseline still runs
+//! the AVX2/AVX-512 `axpy` kernels on hardware that has them — and a
+//! binary compiled with native codegen never executes an instruction the
+//! host lacks.
 //!
-//! [`IsaLevel::active`] is the startup-selected level every hot path uses
-//! (the `KernelDispatch` table in `aq2pnn-sharing` and the wire packers in
-//! `aq2pnn-transport` both read it); benches and property tests iterate
+//! [`IsaLevel::active`] is the cached detection result the GEMM in
+//! `aq2pnn-sharing` uses; benches and property tests iterate
 //! [`IsaLevel::available`] to pin every reachable path bit-identical to
 //! the scalar reference on the machine at hand.
 
 use std::fmt;
 
 /// One selectable kernel implementation tier.
-///
-/// The ordering is *not* meaningful across architectures (NEON is neither
-/// below nor above AVX2); use [`IsaLevel::supported`] to ask whether a
-/// level can run on this machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IsaLevel {
     /// Portable scalar fallback — always present, and the reference
     /// semantics every other level is property-tested against.
     Scalar,
-    /// x86-64 AVX2: 256-bit lanes (u16×16 / u32×8 / u64×4).
+    /// x86-64 AVX2: 256-bit lanes (u32×8 / u64×4).
     Avx2,
-    /// x86-64 AVX-512 (F+BW+DQ+VL): 512-bit lanes (u16×32 / u32×16 /
-    /// u64×8) with native 64-bit lane multiplies.
+    /// x86-64 AVX-512 (F+BW+DQ+VL): 512-bit lanes (u32×16 / u64×8) with
+    /// native 64-bit lane multiplies.
     Avx512,
-    /// aarch64 NEON: 128-bit lanes (u16×8 / u32×4); 64-bit lane kernels
-    /// stay scalar (NEON has no 64-bit integer multiply).
-    Neon,
 }
 
 impl IsaLevel {
     /// Every level in canonical order (scalar first).
-    pub const ALL: [IsaLevel; 4] =
-        [IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512, IsaLevel::Neon];
+    pub const ALL: [IsaLevel; 3] = [IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512];
 
-    /// The level's stable lowercase name (`scalar`/`avx2`/`avx512`/`neon`)
-    /// — the `AQ2PNN_ISA` vocabulary and the `isa` field of bench rows.
+    /// The level's stable lowercase name (`scalar`/`avx2`/`avx512`) — the
+    /// `isa` field of bench rows.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             IsaLevel::Scalar => "scalar",
             IsaLevel::Avx2 => "avx2",
             IsaLevel::Avx512 => "avx512",
-            IsaLevel::Neon => "neon",
         }
     }
 
@@ -60,7 +48,6 @@ impl IsaLevel {
             "scalar" => Some(IsaLevel::Scalar),
             "avx2" => Some(IsaLevel::Avx2),
             "avx512" => Some(IsaLevel::Avx512),
-            "neon" => Some(IsaLevel::Neon),
             _ => None,
         }
     }
@@ -90,24 +77,19 @@ impl IsaLevel {
                         && std::arch::is_x86_feature_detected!("avx512dq")
                         && std::arch::is_x86_feature_detected!("avx512vl")
                 }
-                #[cfg(target_arch = "aarch64")]
-                IsaLevel::Neon => true, // NEON is part of the aarch64 base ISA
-                #[allow(unreachable_patterns)] // levels of other architectures
+                #[allow(unreachable_patterns)] // x86 levels on other architectures
                 _ => false,
             }
         }
     }
 
-    /// The best level this machine supports (AVX-512 ≻ AVX2 ≻ scalar on
-    /// x86-64, NEON on aarch64).
+    /// The best level this machine supports (AVX-512 ≻ AVX2 ≻ scalar).
     #[must_use]
     pub fn detect() -> IsaLevel {
         if IsaLevel::Avx512.supported() {
             IsaLevel::Avx512
         } else if IsaLevel::Avx2.supported() {
             IsaLevel::Avx2
-        } else if IsaLevel::Neon.supported() {
-            IsaLevel::Neon
         } else {
             IsaLevel::Scalar
         }
@@ -120,20 +102,11 @@ impl IsaLevel {
         IsaLevel::ALL.iter().copied().filter(|l| l.supported()).collect()
     }
 
-    /// The level the process-wide kernel dispatch uses, selected **once**
-    /// at first use: the `AQ2PNN_ISA` environment variable when it names a
-    /// supported level, otherwise [`IsaLevel::detect`]. An unsupported or
-    /// unparseable override falls back to detection rather than failing —
-    /// CI drives the same test matrix across heterogeneous runners.
+    /// [`IsaLevel::detect`], run once per process and cached.
     #[must_use]
     pub fn active() -> IsaLevel {
         static ACTIVE: std::sync::OnceLock<IsaLevel> = std::sync::OnceLock::new();
-        *ACTIVE.get_or_init(|| {
-            match std::env::var("AQ2PNN_ISA").ok().as_deref().and_then(IsaLevel::parse) {
-                Some(l) if l.supported() => l,
-                _ => IsaLevel::detect(),
-            }
-        })
+        *ACTIVE.get_or_init(IsaLevel::detect)
     }
 }
 
@@ -156,7 +129,7 @@ mod tests {
     #[test]
     fn detect_is_supported() {
         assert!(IsaLevel::detect().supported());
-        assert!(IsaLevel::active().supported());
+        assert_eq!(IsaLevel::active(), IsaLevel::detect());
     }
 
     #[test]
@@ -166,6 +139,7 @@ mod tests {
             assert_eq!(IsaLevel::parse(&l.name().to_uppercase()), Some(l));
         }
         assert_eq!(IsaLevel::parse("sse9"), None);
+        assert_eq!(IsaLevel::parse("neon"), None);
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //!   crates use wherever a computation touches secret share values, so
 //!   local timing stays share-independent (see DESIGN.md §"Secrecy
 //!   discipline").
-//! * [`isa`] / [`simd`] — runtime CPU-feature detection and the width- and
-//!   ISA-specialized kernel primitives (AVX2/AVX-512/NEON with a scalar
-//!   reference) behind the workspace's kernel dispatch layer
+//! * [`isa`] / [`simd`] — runtime CPU-feature detection and the GEMM
+//!   `axpy` kernels: scalar references plus AVX2/AVX-512 u32/u64 kernels
 //!   (DESIGN.md §7.4).
 //!
 //! # Example
@@ -44,11 +43,11 @@
 //!
 //! [MICRO '23]: https://doi.org/10.1145/3613424.3614297
 
-// `deny`, not `forbid`: the SIMD intrinsic kernels in `simd::x86`/
-// `simd::neon` opt back in with module-local `#![allow(unsafe_code)]` and
-// carry the safety argument (feature-checked safe wrappers, asserted
-// length contracts) documented there and in DESIGN.md §7.4. Everything
-// else in the crate stays unsafe-free.
+// `deny`, not `forbid`: the u32/u64 GEMM `axpy` kernels in `simd::x86`
+// opt back in with a module-local `#![allow(unsafe_code)]` and carry the
+// safety argument (feature-checked safe wrappers, asserted length
+// contracts) documented there and in DESIGN.md §7.4. Everything else in
+// the crate stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -2,7 +2,6 @@
 
 use crate::RingError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Arithmetic context for the unsigned integer ring `Z_Q`, `Q = 2^ℓ`.
@@ -26,7 +25,7 @@ use std::fmt;
 /// assert_eq!(q.decode_signed(0b1001_1100), -100);
 /// assert_eq!(q.encode_signed(-100), 0b1001_1100);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ring {
     bits: u32,
     mask: u64,

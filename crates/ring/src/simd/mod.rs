@@ -1,78 +1,48 @@
-//! Width- and ISA-specialized kernel primitives.
+//! GEMM multiply-accumulate kernels: the scalar reference and the one
+//! hand-written tier that measures a win over it.
 //!
-//! This module is the primitive layer under the workspace's runtime
-//! kernel dispatch (ROADMAP item 5): small, monomorphic functions —
-//! GEMM multiply-accumulate rows, wire-format group packers, A2BM
-//! code-table fills — each available as a portable scalar reference
-//! ([`scalar`]) and, where the hardware pays for it, as explicit AVX2 /
-//! AVX-512 / NEON implementations. The selectors here (`*_for`, `*_fn`)
-//! map an [`IsaLevel`] to a plain function pointer; the
-//! `KernelDispatch` table in `aq2pnn-sharing` resolves them once at
-//! startup, and `aq2pnn-transport` resolves per pack call.
+//! The mask-deferred matmul in `aq2pnn-sharing` accumulates wrapping in
+//! u16, u32 or u64 words. For u16 the compiler's autovectorized scalar
+//! loop ([`scalar`]) is as fast as hand SIMD, so only the u32/u64 `axpy` /
+//! `axpy2` rows have AVX2 and AVX-512 kernels. The `*_for` selectors map
+//! an [`IsaLevel`] to a plain function pointer; every other kernel in the
+//! workspace (wire packers, A2BM code fills) is safe scalar Rust in its
+//! only user.
 //!
 //! Three invariants every kernel keeps, enforced by the property tests
 //! in this module and at the call sites:
 //!
 //! * **Bit-identity** — for any input, every specialized path produces
-//!   exactly the bytes/words of its scalar reference. SIMD reassociation
-//!   is invisible because all arithmetic wraps and `2^ℓ` divides the
-//!   accumulator modulus; packers are pure bit movement.
+//!   exactly the words of its scalar reference. SIMD reassociation is
+//!   invisible because all arithmetic wraps and `2^ℓ` divides the
+//!   accumulator modulus.
 //! * **Soundness by construction** — `unsafe` exists only inside
-//!   [`x86`]/[`neon`], behind safe wrappers that re-check CPU features
-//!   at runtime and fall back to scalar. Misusing a selector with a
-//!   wrong [`IsaLevel`] can cost speed, never soundness.
+//!   `x86`, behind safe wrappers that re-check CPU features at runtime
+//!   and fall back to scalar. Misusing a selector with a wrong
+//!   [`IsaLevel`] can cost speed, never soundness.
 //! * **Secrecy discipline** — kernel control flow depends only on
-//!   public geometry (lengths, widths), not on the secret words being
-//!   processed; see DESIGN.md §7.4.
+//!   public geometry (lengths), not on the secret words being processed;
+//!   see DESIGN.md §7.4.
 
 pub mod scalar;
 
-#[cfg(target_arch = "aarch64")]
-mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
 use crate::isa::IsaLevel;
 
-/// `row[j] += v · b[j]` over one accumulator word type (wrapping).
-pub type AxpyU16Fn = fn(&mut [u16], u16, &[u16]);
-/// `row[j] += v0 · b0[j] + v1 · b1[j]` (wrapping) — the 2-step-unrolled
-/// GEMM inner loop.
-pub type Axpy2U16Fn = fn(&mut [u16], u16, &[u16], u16, &[u16]);
-/// See [`AxpyU16Fn`].
+/// `row[j] += v · b[j]` mod `2^32` (wrapping).
 pub type AxpyU32Fn = fn(&mut [u32], u32, &[u32]);
-/// See [`Axpy2U16Fn`].
+/// `row[j] += v0 · b0[j] + v1 · b1[j]` mod `2^32` (wrapping) — the
+/// 2-step-unrolled GEMM inner loop.
 pub type Axpy2U32Fn = fn(&mut [u32], u32, &[u32], u32, &[u32]);
-/// See [`AxpyU16Fn`].
+/// See [`AxpyU32Fn`], mod `2^64`.
 pub type AxpyU64Fn = fn(&mut [u64], u64, &[u64]);
-/// See [`Axpy2U16Fn`].
+/// See [`Axpy2U32Fn`], mod `2^64`.
 pub type Axpy2U64Fn = fn(&mut [u64], u64, &[u64], u64, &[u64]);
-/// Packs one aligned 8-element group (exactly `bits` bytes of wire).
-pub type PackGroup8Fn = fn(&[u64], &mut [u8]);
-/// Unpacks one aligned 8-element group.
-pub type UnpackGroup8Fn = fn(&[u8], &mut [u64]);
-/// Fills one item's OT slot run from a 4×4 comparison-code row table
-/// (standard A2BM group pattern).
-pub type FillCodesItemFn = fn(&[u8], &[u64; 16], &mut [u64]);
 
 macro_rules! axpy_selector {
-    ($(#[$m:meta])* $name:ident, $fnty:ty, $sc:path, $a2:path, $a5:path, neon: $nn:path) => {
-        $(#[$m])*
-        #[must_use]
-        pub fn $name(isa: IsaLevel) -> $fnty {
-            match isa {
-                #[cfg(target_arch = "x86_64")]
-                IsaLevel::Avx2 => $a2,
-                #[cfg(target_arch = "x86_64")]
-                IsaLevel::Avx512 => $a5,
-                #[cfg(target_arch = "aarch64")]
-                IsaLevel::Neon => $nn,
-                _ => $sc,
-            }
-        }
-    };
     ($(#[$m:meta])* $name:ident, $fnty:ty, $sc:path, $a2:path, $a5:path) => {
-        // No NEON variant: aarch64 routes to the scalar reference.
         $(#[$m])*
         #[must_use]
         pub fn $name(isa: IsaLevel) -> $fnty {
@@ -88,117 +58,17 @@ macro_rules! axpy_selector {
 }
 
 axpy_selector!(
-    /// Selects the u16 `axpy` kernel (mod `2^16` accumulation, ℓ ≤ 16).
-    axpy_u16_for, AxpyU16Fn, scalar::axpy_u16, x86::axpy_u16_avx2, x86::axpy_u16_avx512,
-    neon: neon::axpy_u16_neon);
-axpy_selector!(
-    /// Selects the u16 `axpy2` kernel.
-    axpy2_u16_for, Axpy2U16Fn, scalar::axpy2_u16, x86::axpy2_u16_avx2, x86::axpy2_u16_avx512,
-    neon: neon::axpy2_u16_neon);
-axpy_selector!(
-    /// Selects the u32 `axpy` kernel (mod `2^32` accumulation, ℓ ≤ 32).
-    axpy_u32_for, AxpyU32Fn, scalar::axpy_u32, x86::axpy_u32_avx2, x86::axpy_u32_avx512,
-    neon: neon::axpy_u32_neon);
+    /// Selects the u32 `axpy` kernel (mod `2^32` accumulation, 16 < ℓ ≤ 32).
+    axpy_u32_for, AxpyU32Fn, scalar::axpy_u32, x86::axpy_u32_avx2, x86::axpy_u32_avx512);
 axpy_selector!(
     /// Selects the u32 `axpy2` kernel.
-    axpy2_u32_for, Axpy2U32Fn, scalar::axpy2_u32, x86::axpy2_u32_avx2, x86::axpy2_u32_avx512,
-    neon: neon::axpy2_u32_neon);
+    axpy2_u32_for, Axpy2U32Fn, scalar::axpy2_u32, x86::axpy2_u32_avx2, x86::axpy2_u32_avx512);
 axpy_selector!(
     /// Selects the u64 `axpy` kernel (mod `2^64` accumulation, ℓ > 32).
     axpy_u64_for, AxpyU64Fn, scalar::axpy_u64, x86::axpy_u64_avx2, x86::axpy_u64_avx512);
 axpy_selector!(
     /// Selects the u64 `axpy2` kernel.
     axpy2_u64_for, Axpy2U64Fn, scalar::axpy2_u64, x86::axpy2_u64_avx2, x86::axpy2_u64_avx512);
-
-/// Whether `bits` has a specialized group packer (the widths the adaptive
-/// ℓ-profiles put on the wire: 1/2/4-bit codes and bitmaps, plus the
-/// paper's 12- and 20-bit ring widths; byte-multiples take the existing
-/// aligned fast path in `aq2pnn-transport` and need none).
-#[must_use]
-pub fn is_specialized_pack_width(bits: u32) -> bool {
-    matches!(bits, 1 | 2 | 4 | 12 | 20)
-}
-
-/// Selects the packer for one aligned 8-element group of `bits`-bit
-/// elements (exactly `bits` bytes of wire), or `None` when `bits` has no
-/// specialized kernel and the caller must use its generic bit loop.
-#[must_use]
-pub fn pack_group8_fn(isa: IsaLevel, bits: u32) -> Option<PackGroup8Fn> {
-    #[cfg(target_arch = "x86_64")]
-    if matches!(isa, IsaLevel::Avx2 | IsaLevel::Avx512) {
-        return match bits {
-            1 => Some(x86::pack_group8_sub1_avx2),
-            2 => Some(x86::pack_group8_sub2_avx2),
-            4 => Some(x86::pack_group8_sub4_avx2),
-            12 => Some(scalar::pack_group8_narrow::<12>),
-            20 => Some(scalar::pack_group8_even_wide::<20>),
-            _ => None,
-        };
-    }
-    let _ = isa;
-    match bits {
-        1 => Some(scalar::pack_group8_narrow::<1>),
-        2 => Some(scalar::pack_group8_narrow::<2>),
-        4 => Some(scalar::pack_group8_narrow::<4>),
-        12 => Some(scalar::pack_group8_narrow::<12>),
-        20 => Some(scalar::pack_group8_even_wide::<20>),
-        _ => None,
-    }
-}
-
-/// Selects the unpacker matching [`pack_group8_fn`].
-#[must_use]
-pub fn unpack_group8_fn(isa: IsaLevel, bits: u32) -> Option<UnpackGroup8Fn> {
-    #[cfg(target_arch = "x86_64")]
-    if matches!(isa, IsaLevel::Avx2 | IsaLevel::Avx512) {
-        return match bits {
-            1 => Some(x86::unpack_group8_sub1_avx2),
-            2 => Some(x86::unpack_group8_sub2_avx2),
-            4 => Some(x86::unpack_group8_sub4_avx2),
-            12 => Some(scalar::unpack_group8_narrow::<12>),
-            20 => Some(scalar::unpack_group8_even_wide::<20>),
-            _ => None,
-        };
-    }
-    let _ = isa;
-    match bits {
-        1 => Some(scalar::unpack_group8_narrow::<1>),
-        2 => Some(scalar::unpack_group8_narrow::<2>),
-        4 => Some(scalar::unpack_group8_narrow::<4>),
-        12 => Some(scalar::unpack_group8_narrow::<12>),
-        20 => Some(scalar::unpack_group8_even_wide::<20>),
-        _ => None,
-    }
-}
-
-/// Selects the per-item code-table fill for the standard A2BM group
-/// pattern, monomorphized for the group counts of the paper's ring
-/// widths (`u_cnt` = 7/9/11/17 for ℓ = 12/16/20/32) with a runtime-`U`
-/// fallback. `None` only when `u_cnt < 2` (no standard pattern exists).
-#[must_use]
-pub fn fill_codes_item_fn(isa: IsaLevel, u_cnt: usize) -> Option<FillCodesItemFn> {
-    if u_cnt < 2 {
-        return None;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if matches!(isa, IsaLevel::Avx2 | IsaLevel::Avx512) {
-        return Some(match u_cnt {
-            7 => x86::fill_codes_item7_avx2,
-            9 => x86::fill_codes_item9_avx2,
-            11 => x86::fill_codes_item11_avx2,
-            17 => x86::fill_codes_item17_avx2,
-            _ => x86::fill_codes_item_dyn_avx2,
-        });
-    }
-    let _ = isa;
-    Some(match u_cnt {
-        7 => scalar::fill_codes_item::<7>,
-        9 => scalar::fill_codes_item::<9>,
-        11 => scalar::fill_codes_item::<11>,
-        17 => scalar::fill_codes_item::<17>,
-        _ => scalar::fill_codes_item_dyn,
-    })
-}
 
 #[cfg(test)]
 mod tests {
@@ -241,88 +111,9 @@ mod tests {
         let mut next = rng_stream(0x9e37_79b9_7f4a_7c15);
         for isa in IsaLevel::available() {
             for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100] {
-                check_width!(u16, isa, n, next, axpy_u16_for, axpy2_u16_for, axpy_u16, axpy2_u16);
                 check_width!(u32, isa, n, next, axpy_u32_for, axpy2_u32_for, axpy_u32, axpy2_u32);
                 check_width!(u64, isa, n, next, axpy_u64_for, axpy2_u64_for, axpy_u64, axpy2_u64);
             }
         }
-    }
-
-    #[test]
-    fn pack_group_fns_match_scalar_and_roundtrip() {
-        let mut next = rng_stream(0x1234_5678_9abc_def1);
-        for isa in IsaLevel::available() {
-            for bits in [1u32, 2, 4, 12, 20] {
-                let mask = (1u64 << bits) - 1;
-                let pack = pack_group8_fn(isa, bits).expect("specialized width");
-                let unpack = unpack_group8_fn(isa, bits).expect("specialized width");
-                let sc_pack = pack_group8_fn(IsaLevel::Scalar, bits).unwrap();
-                for trial in 0..64 {
-                    // Unmasked inputs check the kernels truncate like the
-                    // generic packer does.
-                    let elems: Vec<u64> = (0..8)
-                        .map(|_| if trial % 2 == 0 { next() & mask } else { next() })
-                        .collect();
-                    let mut got = vec![0u8; bits as usize];
-                    let mut want = vec![0u8; bits as usize];
-                    pack(&elems, &mut got);
-                    sc_pack(&elems, &mut want);
-                    assert_eq!(got, want, "pack bits={bits} isa={isa}");
-                    let mut back = vec![0u64; 8];
-                    unpack(&got, &mut back);
-                    let masked: Vec<u64> = elems.iter().map(|&e| e & mask).collect();
-                    assert_eq!(back, masked, "roundtrip bits={bits} isa={isa}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unspecialized_widths_have_no_group_fn() {
-        for bits in [3u32, 5, 8, 11, 13, 16, 21, 31, 32, 33, 64] {
-            assert!(pack_group8_fn(IsaLevel::Scalar, bits).is_none(), "bits={bits}");
-            assert!(unpack_group8_fn(IsaLevel::Scalar, bits).is_none(), "bits={bits}");
-            assert!(!is_specialized_pack_width(bits), "bits={bits}");
-        }
-        for bits in [1u32, 2, 4, 12, 20] {
-            assert!(is_specialized_pack_width(bits), "bits={bits}");
-        }
-    }
-
-    #[test]
-    fn fill_codes_fns_match_scalar_reference() {
-        let mut next = rng_stream(0xfeed_f00d_dead_beef);
-        // The 4×4 row table: arbitrary distinct words so copies are visible.
-        let mut rows = [0u64; 16];
-        for (i, r) in rows.iter_mut().enumerate() {
-            *r = 0x1000 + i as u64;
-        }
-        for isa in IsaLevel::available() {
-            for u_cnt in [2usize, 3, 7, 9, 11, 17, 33] {
-                let f = fill_codes_item_fn(isa, u_cnt).expect("u_cnt >= 2");
-                let items = 5;
-                let stride = 4 * (u_cnt - 1);
-                let mut got = vec![0u64; items * stride];
-                let mut want = vec![0u64; items * stride];
-                let u_flat: Vec<u8> = (0..items * u_cnt)
-                    .map(|i| {
-                        // Groups 0/1 are 1-bit, the rest 2-bit wide.
-                        let w = if i % u_cnt < 2 { 1 } else { 2 };
-                        (next() & ((1 << w) - 1)) as u8
-                    })
-                    .collect();
-                for item in 0..items {
-                    let u = &u_flat[item * u_cnt..(item + 1) * u_cnt];
-                    f(u, &rows, &mut got[item * stride..(item + 1) * stride]);
-                    scalar::fill_codes_item_dyn(
-                        u,
-                        &rows,
-                        &mut want[item * stride..(item + 1) * stride],
-                    );
-                }
-                assert_eq!(got, want, "fill_codes u_cnt={u_cnt} isa={isa}");
-            }
-        }
-        assert!(fill_codes_item_fn(IsaLevel::Scalar, 1).is_none());
     }
 }

@@ -1,13 +1,13 @@
-//! Portable scalar kernels — the reference semantics every SIMD path in
-//! this module tree is property-tested bit-identical against.
+//! Portable scalar GEMM kernels — the reference semantics the x86 SIMD
+//! kernels are property-tested bit-identical against.
 //!
-//! Everything here is safe Rust with wrapping arithmetic. The GEMM
-//! primitives (`axpy*`) accumulate mod the accumulator word size; the
-//! callers (the mask-deferred matmul in `aq2pnn-sharing`) rely on
-//! `2^ℓ` dividing the word modulus, so reassociation and lane order
-//! never change the masked result. The group packers are const-generic
-//! SWAR: one `u128` accumulator replaces the per-bit shift loop of the
-//! generic wire packer for the widths the adaptive ℓ-profiles use.
+//! Everything here is safe Rust with wrapping arithmetic. The `axpy*`
+//! primitives accumulate mod the accumulator word size; the callers (the
+//! mask-deferred matmul in `aq2pnn-sharing`) rely on `2^ℓ` dividing the
+//! word modulus, so reassociation and lane order never change the masked
+//! result. The u16 kernels have no hand-written twin: their
+//! autovectorized loops measure at least as fast as AVX2/AVX-512 u16 code
+//! (EXPERIMENTS.md, "Kernel tiers pruned").
 
 /// `row[j] += v · b[j]` (wrapping mod `2^16`).
 ///
@@ -81,151 +81,5 @@ pub fn axpy2_u64(row: &mut [u64], v0: u64, b0: &[u64], v1: u64, b1: &[u64]) {
     assert_eq!(row.len(), b1.len(), "axpy2 operand length mismatch");
     for j in 0..row.len() {
         row[j] = row[j].wrapping_add(v0.wrapping_mul(b0[j])).wrapping_add(v1.wrapping_mul(b1[j]));
-    }
-}
-
-/// Packs one aligned 8-element group of `BITS ≤ 16`-bit elements
-/// (`8·BITS ≤ 128` bits = exactly `BITS` bytes) LSB-first via one `u128`
-/// SWAR accumulator. Monomorphized per width, so the shifts, the mask and
-/// the output copy length are all compile-time constants.
-///
-/// # Panics
-///
-/// Panics if `elems` is not exactly 8 elements or `out` is shorter than
-/// `BITS` bytes.
-pub fn pack_group8_narrow<const BITS: u32>(elems: &[u64], out: &mut [u8]) {
-    const { assert!(BITS >= 1 && BITS <= 16, "narrow group packer covers 1..=16 bits") };
-    assert_eq!(elems.len(), 8, "group packer takes exactly 8 elements");
-    let mask = (1u128 << BITS) - 1;
-    let mut acc = 0u128;
-    for (j, &e) in elems.iter().enumerate() {
-        acc |= (u128::from(e) & mask) << (BITS as usize * j);
-    }
-    out[..BITS as usize].copy_from_slice(&acc.to_le_bytes()[..BITS as usize]);
-}
-
-/// Inverse of [`pack_group8_narrow`]: one `u128` load, eight constant
-/// shift-and-mask extracts.
-///
-/// # Panics
-///
-/// Panics if `out` is not exactly 8 elements or `bytes` is shorter than
-/// `BITS` bytes.
-pub fn unpack_group8_narrow<const BITS: u32>(bytes: &[u8], out: &mut [u64]) {
-    const { assert!(BITS >= 1 && BITS <= 16, "narrow group unpacker covers 1..=16 bits") };
-    assert_eq!(out.len(), 8, "group unpacker yields exactly 8 elements");
-    let mut buf = [0u8; 16];
-    buf[..BITS as usize].copy_from_slice(&bytes[..BITS as usize]);
-    let acc = u128::from_le_bytes(buf);
-    let mask = (1u128 << BITS) - 1;
-    #[allow(clippy::cast_possible_truncation)] // masked to BITS ≤ 16 bits
-    for (j, slot) in out.iter_mut().enumerate() {
-        *slot = ((acc >> (BITS as usize * j)) & mask) as u64;
-    }
-}
-
-/// Packs one aligned 8-element group of an even `17 ≤ BITS ≤ 32`-bit width
-/// as two 4-element `u128` SWAR halves (each `4·BITS` bits = `BITS/2`
-/// bytes, byte-aligned because `BITS` is even).
-///
-/// # Panics
-///
-/// Panics if `elems` is not exactly 8 elements or `out` is shorter than
-/// `BITS` bytes.
-pub fn pack_group8_even_wide<const BITS: u32>(elems: &[u64], out: &mut [u8]) {
-    const {
-        assert!(
-            BITS.is_multiple_of(2) && BITS > 16 && BITS <= 32,
-            "wide group packer covers even 18..=32"
-        );
-    };
-    assert_eq!(elems.len(), 8, "group packer takes exactly 8 elements");
-    let half = (BITS / 2) as usize;
-    let mask = (1u128 << BITS) - 1;
-    for (h, quad) in elems.chunks_exact(4).enumerate() {
-        let mut acc = 0u128;
-        for (j, &e) in quad.iter().enumerate() {
-            acc |= (u128::from(e) & mask) << (BITS as usize * j);
-        }
-        out[h * half..(h + 1) * half].copy_from_slice(&acc.to_le_bytes()[..half]);
-    }
-}
-
-/// Inverse of [`pack_group8_even_wide`].
-///
-/// # Panics
-///
-/// Panics if `out` is not exactly 8 elements or `bytes` is shorter than
-/// `BITS` bytes.
-pub fn unpack_group8_even_wide<const BITS: u32>(bytes: &[u8], out: &mut [u64]) {
-    const {
-        assert!(
-            BITS.is_multiple_of(2) && BITS > 16 && BITS <= 32,
-            "wide group unpacker covers even 18..=32"
-        );
-    };
-    assert_eq!(out.len(), 8, "group unpacker yields exactly 8 elements");
-    let half = (BITS / 2) as usize;
-    let mask = (1u128 << BITS) - 1;
-    #[allow(clippy::cast_possible_truncation)] // masked to BITS ≤ 32 bits
-    for (h, quad) in out.chunks_exact_mut(4).enumerate() {
-        let mut buf = [0u8; 16];
-        buf[..half].copy_from_slice(&bytes[h * half..(h + 1) * half]);
-        let acc = u128::from_le_bytes(buf);
-        for (j, slot) in quad.iter_mut().enumerate() {
-            *slot = ((acc >> (BITS as usize * j)) & mask) as u64;
-        }
-    }
-}
-
-/// Fills one item's OT slot run from a 4×4 comparison-code row table for
-/// the standard A2BM group pattern (widths `[1, 1, 2, 2, …]`): groups 0–1
-/// copy 2 slots each, groups 2… copy 4 slots each, all with compile-time
-/// copy lengths when `U` is monomorphized.
-///
-/// `u` holds the item's `U` group values (each `< 2^width ≤ 4`), `rows` is
-/// the precomputed `code(u, ·)` table with row stride 4, `slots` the
-/// item's `4·(U−1)` output words.
-///
-/// # Panics
-///
-/// Panics if `u.len() != U`, `slots.len() != 4·(U−1)`, or any group value
-/// exceeds its row (bounds-checked table indexing).
-pub fn fill_codes_item<const U: usize>(u: &[u8], rows: &[u64; 16], slots: &mut [u64]) {
-    const { assert!(U >= 2, "the standard pattern has at least the two quadrant groups") };
-    assert_eq!(u.len(), U, "group value count mismatch");
-    assert_eq!(slots.len(), 4 * (U - 1), "slot run length mismatch");
-    let r0 = usize::from(u[0]) * 4;
-    slots[0] = rows[r0];
-    slots[1] = rows[r0 + 1];
-    let r1 = usize::from(u[1]) * 4;
-    slots[2] = rows[r1];
-    slots[3] = rows[r1 + 1];
-    for (i, &ug) in u[2..].iter().enumerate() {
-        let r = usize::from(ug) * 4;
-        let dst = 4 * (i + 1);
-        slots[dst..dst + 4].copy_from_slice(&rows[r..r + 4]);
-    }
-}
-
-/// Runtime-`U` fallback of [`fill_codes_item`] for group counts outside
-/// the monomorphized set.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`fill_codes_item`].
-pub fn fill_codes_item_dyn(u: &[u8], rows: &[u64; 16], slots: &mut [u64]) {
-    assert!(u.len() >= 2, "the standard pattern has at least the two quadrant groups");
-    assert_eq!(slots.len(), 4 * (u.len() - 1), "slot run length mismatch");
-    let r0 = usize::from(u[0]) * 4;
-    slots[0] = rows[r0];
-    slots[1] = rows[r0 + 1];
-    let r1 = usize::from(u[1]) * 4;
-    slots[2] = rows[r1];
-    slots[3] = rows[r1 + 1];
-    for (g, &ug) in u.iter().enumerate().skip(2) {
-        let r = usize::from(ug) * 4;
-        let dst = 4 * (g - 1);
-        slots[dst..dst + 4].copy_from_slice(&rows[r..r + 4]);
     }
 }

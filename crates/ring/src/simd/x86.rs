@@ -1,7 +1,9 @@
-//! x86-64 AVX2 and AVX-512 kernels.
+//! x86-64 AVX2 and AVX-512 GEMM kernels: `axpy`/`axpy2` over u32 and u64
+//! accumulators, the only hand-written SIMD that beats the autovectorized
+//! scalar loop (EXPERIMENTS.md, "Kernel tiers pruned").
 //!
-//! The only `unsafe` in the workspace lives in this file (and its aarch64
-//! sibling). The safety argument has two independent layers:
+//! The workspace's only kernel `unsafe` lives in this file. The safety
+//! argument has two independent layers:
 //!
 //! 1. **Feature soundness** — every `#[target_feature]` kernel is private
 //!    to this module and reachable only through a safe `checked` wrapper
@@ -15,24 +17,20 @@
 //!    on the same pointers.
 //!
 //! Secrecy discipline: kernels are branch-free and index-free in the
-//! *data* — control flow depends only on public lengths (and, in the
-//! code-table fill, on bounds checks that mirror the scalar path's safe
-//! indexing). Lane reassociation is invisible mod `2^ℓ` because all
-//! arithmetic is wrapping and `2^ℓ` divides the accumulator modulus.
+//! *data* — control flow depends only on public lengths. Lane
+//! reassociation is invisible mod `2^ℓ` because all arithmetic is
+//! wrapping and `2^ℓ` divides the accumulator modulus.
 
 #![allow(unsafe_code)]
 
 use super::scalar;
 use crate::isa::IsaLevel;
 use core::arch::x86_64::{
-    __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256,
-    _mm256_castsi256_si128, _mm256_loadu_si256, _mm256_mul_epu32, _mm256_mullo_epi16,
-    _mm256_mullo_epi32, _mm256_or_si256, _mm256_permute4x64_epi64, _mm256_set1_epi16,
-    _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_setr_epi64x, _mm256_slli_epi64,
-    _mm256_sllv_epi64, _mm256_srli_epi64, _mm256_srlv_epi64, _mm256_storeu_si256, _mm512_add_epi16,
-    _mm512_add_epi32, _mm512_add_epi64, _mm512_loadu_si512, _mm512_mullo_epi16, _mm512_mullo_epi32,
-    _mm512_mullo_epi64, _mm512_set1_epi16, _mm512_set1_epi32, _mm512_set1_epi64,
-    _mm512_storeu_si512, _mm_cvtsi128_si64, _mm_or_si128, _mm_shuffle_epi32,
+    __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_loadu_si256, _mm256_mul_epu32,
+    _mm256_mullo_epi32, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_slli_epi64,
+    _mm256_srli_epi64, _mm256_storeu_si256, _mm512_add_epi32, _mm512_add_epi64, _mm512_loadu_si512,
+    _mm512_mullo_epi32, _mm512_mullo_epi64, _mm512_set1_epi32, _mm512_set1_epi64,
+    _mm512_storeu_si512,
 };
 
 /// 64-bit lane multiply (low half) on AVX2, which has no native
@@ -131,19 +129,6 @@ macro_rules! define_axpy {
 
 define_axpy!(
     "avx2",
-    axpy_u16_avx2_k,
-    axpy2_u16_avx2_k,
-    u16,
-    i16,
-    16,
-    _mm256_set1_epi16,
-    _mm256_loadu_si256,
-    _mm256_storeu_si256,
-    _mm256_mullo_epi16,
-    _mm256_add_epi16
-);
-define_axpy!(
-    "avx2",
     axpy_u32_avx2_k,
     axpy2_u32_avx2_k,
     u32,
@@ -169,19 +154,6 @@ define_axpy!(
     _mm256_add_epi64
 );
 
-define_axpy!(
-    "avx512f,avx512bw",
-    axpy_u16_avx512_k,
-    axpy2_u16_avx512_k,
-    u16,
-    i16,
-    32,
-    _mm512_set1_epi16,
-    _mm512_loadu_si512,
-    _mm512_storeu_si512,
-    _mm512_mullo_epi16,
-    _mm512_add_epi16
-);
 define_axpy!(
     "avx512f",
     axpy_u32_avx512_k,
@@ -209,99 +181,6 @@ define_axpy!(
     _mm512_add_epi64
 );
 
-/// Sub-byte group pack (`BITS ∈ {1, 2, 4}`): eight ring elements become
-/// `BITS` bytes. Lane shifts move each element's low bits to its slot in
-/// the 8·BITS-bit word; a two-step horizontal OR folds the four 64-bit
-/// lanes into one.
-#[target_feature(enable = "avx2")]
-unsafe fn pack_group8_sub_k<const BITS: u32>(elems: &[u64], out: &mut [u8]) {
-    const { assert!(BITS == 1 || BITS == 2 || BITS == 4, "sub-byte packer covers 1/2/4 bits") };
-    assert_eq!(elems.len(), 8, "group packer takes exactly 8 elements");
-    let b = i64::from(BITS);
-    let mask = _mm256_set1_epi64x(((1u64 << BITS) - 1) as i64);
-    let sh_lo = _mm256_setr_epi64x(0, b, 2 * b, 3 * b);
-    let sh_hi = _mm256_setr_epi64x(4 * b, 5 * b, 6 * b, 7 * b);
-    let p = elems.as_ptr();
-    let e0 = _mm256_loadu_si256(p.cast());
-    let e1 = _mm256_loadu_si256(p.add(4).cast());
-    let v = _mm256_or_si256(
-        _mm256_sllv_epi64(_mm256_and_si256(e0, mask), sh_lo),
-        _mm256_sllv_epi64(_mm256_and_si256(e1, mask), sh_hi),
-    );
-    // OR lanes {0,1} with {2,3}, then the two surviving 64-bit halves.
-    let v = _mm256_or_si256(v, _mm256_permute4x64_epi64::<0b0100_1110>(v));
-    let lo = _mm256_castsi256_si128(v);
-    let lo = _mm_or_si128(lo, _mm_shuffle_epi32::<0b0100_1110>(lo));
-    let word = _mm_cvtsi128_si64(lo) as u64;
-    out[..BITS as usize].copy_from_slice(&word.to_le_bytes()[..BITS as usize]);
-}
-
-/// Inverse of [`pack_group8_sub_k`]: broadcast the packed word, variable
-/// right-shift per lane, mask.
-#[target_feature(enable = "avx2")]
-unsafe fn unpack_group8_sub_k<const BITS: u32>(bytes: &[u8], out: &mut [u64]) {
-    const { assert!(BITS == 1 || BITS == 2 || BITS == 4, "sub-byte unpacker covers 1/2/4 bits") };
-    assert_eq!(out.len(), 8, "group unpacker yields exactly 8 elements");
-    let mut wb = [0u8; 8];
-    wb[..BITS as usize].copy_from_slice(&bytes[..BITS as usize]);
-    let b = i64::from(BITS);
-    let v = _mm256_set1_epi64x(u64::from_le_bytes(wb) as i64);
-    let mask = _mm256_set1_epi64x(((1u64 << BITS) - 1) as i64);
-    let sh_lo = _mm256_setr_epi64x(0, b, 2 * b, 3 * b);
-    let sh_hi = _mm256_setr_epi64x(4 * b, 5 * b, 6 * b, 7 * b);
-    let r0 = _mm256_and_si256(_mm256_srlv_epi64(v, sh_lo), mask);
-    let r1 = _mm256_and_si256(_mm256_srlv_epi64(v, sh_hi), mask);
-    let p = out.as_mut_ptr();
-    _mm256_storeu_si256(p.cast(), r0);
-    _mm256_storeu_si256(p.add(4).cast(), r1);
-}
-
-/// AVX2 variant of [`scalar::fill_codes_item`]: each width-2 group's
-/// 4-slot row copy is one 256-bit load/store instead of two 128-bit
-/// moves at baseline codegen. Group values stay bounds-asserted exactly
-/// like the scalar path's safe indexing.
-#[target_feature(enable = "avx2")]
-unsafe fn fill_codes_item_k<const U: usize>(u: &[u8], rows: &[u64; 16], slots: &mut [u64]) {
-    const { assert!(U >= 2, "the standard pattern has at least the two quadrant groups") };
-    assert_eq!(u.len(), U, "group value count mismatch");
-    assert_eq!(slots.len(), 4 * (U - 1), "slot run length mismatch");
-    let r0 = usize::from(u[0]) * 4;
-    slots[0] = rows[r0];
-    slots[1] = rows[r0 + 1];
-    let r1 = usize::from(u[1]) * 4;
-    slots[2] = rows[r1];
-    slots[3] = rows[r1 + 1];
-    let rp = rows.as_ptr();
-    let sp = slots.as_mut_ptr();
-    for (i, &ugb) in u[2..].iter().enumerate() {
-        let ug = usize::from(ugb);
-        assert!(ug < 4, "group value out of table range");
-        let row = _mm256_loadu_si256(rp.add(ug * 4).cast());
-        _mm256_storeu_si256(sp.add(4 * (i + 1)).cast(), row);
-    }
-}
-
-/// Runtime-`U` variant of [`fill_codes_item_k`].
-#[target_feature(enable = "avx2")]
-unsafe fn fill_codes_item_dyn_k(u: &[u8], rows: &[u64; 16], slots: &mut [u64]) {
-    assert!(u.len() >= 2, "the standard pattern has at least the two quadrant groups");
-    assert_eq!(slots.len(), 4 * (u.len() - 1), "slot run length mismatch");
-    let r0 = usize::from(u[0]) * 4;
-    slots[0] = rows[r0];
-    slots[1] = rows[r0 + 1];
-    let r1 = usize::from(u[1]) * 4;
-    slots[2] = rows[r1];
-    slots[3] = rows[r1 + 1];
-    let rp = rows.as_ptr();
-    let sp = slots.as_mut_ptr();
-    for (g, &ugb) in u.iter().enumerate().skip(2) {
-        let ug = usize::from(ugb);
-        assert!(ug < 4, "group value out of table range");
-        let row = _mm256_loadu_si256(rp.add(ug * 4).cast());
-        _mm256_storeu_si256(sp.add(4 * (g - 1)).cast(), row);
-    }
-}
-
 /// Declares the safe, feature-checked entry point for one unsafe kernel:
 /// verify the level's CPU features (cached), else run the scalar
 /// reference. These are the only functions the dispatch selectors hand
@@ -320,10 +199,6 @@ macro_rules! checked {
     };
 }
 
-checked!(axpy_u16_avx2, Avx2, axpy_u16_avx2_k, scalar::axpy_u16,
-    (row: &mut [u16], v: u16, b: &[u16]));
-checked!(axpy2_u16_avx2, Avx2, axpy2_u16_avx2_k, scalar::axpy2_u16,
-    (row: &mut [u16], v0: u16, b0: &[u16], v1: u16, b1: &[u16]));
 checked!(axpy_u32_avx2, Avx2, axpy_u32_avx2_k, scalar::axpy_u32,
     (row: &mut [u32], v: u32, b: &[u32]));
 checked!(axpy2_u32_avx2, Avx2, axpy2_u32_avx2_k, scalar::axpy2_u32,
@@ -333,10 +208,6 @@ checked!(axpy_u64_avx2, Avx2, axpy_u64_avx2_k, scalar::axpy_u64,
 checked!(axpy2_u64_avx2, Avx2, axpy2_u64_avx2_k, scalar::axpy2_u64,
     (row: &mut [u64], v0: u64, b0: &[u64], v1: u64, b1: &[u64]));
 
-checked!(axpy_u16_avx512, Avx512, axpy_u16_avx512_k, scalar::axpy_u16,
-    (row: &mut [u16], v: u16, b: &[u16]));
-checked!(axpy2_u16_avx512, Avx512, axpy2_u16_avx512_k, scalar::axpy2_u16,
-    (row: &mut [u16], v0: u16, b0: &[u16], v1: u16, b1: &[u16]));
 checked!(axpy_u32_avx512, Avx512, axpy_u32_avx512_k, scalar::axpy_u32,
     (row: &mut [u32], v: u32, b: &[u32]));
 checked!(axpy2_u32_avx512, Avx512, axpy2_u32_avx512_k, scalar::axpy2_u32,
@@ -345,27 +216,3 @@ checked!(axpy_u64_avx512, Avx512, axpy_u64_avx512_k, scalar::axpy_u64,
     (row: &mut [u64], v: u64, b: &[u64]));
 checked!(axpy2_u64_avx512, Avx512, axpy2_u64_avx512_k, scalar::axpy2_u64,
     (row: &mut [u64], v0: u64, b0: &[u64], v1: u64, b1: &[u64]));
-
-checked!(pack_group8_sub1_avx2, Avx2, pack_group8_sub_k::<1>, scalar::pack_group8_narrow::<1>,
-    (elems: &[u64], out: &mut [u8]));
-checked!(pack_group8_sub2_avx2, Avx2, pack_group8_sub_k::<2>, scalar::pack_group8_narrow::<2>,
-    (elems: &[u64], out: &mut [u8]));
-checked!(pack_group8_sub4_avx2, Avx2, pack_group8_sub_k::<4>, scalar::pack_group8_narrow::<4>,
-    (elems: &[u64], out: &mut [u8]));
-checked!(unpack_group8_sub1_avx2, Avx2, unpack_group8_sub_k::<1>,
-    scalar::unpack_group8_narrow::<1>, (bytes: &[u8], out: &mut [u64]));
-checked!(unpack_group8_sub2_avx2, Avx2, unpack_group8_sub_k::<2>,
-    scalar::unpack_group8_narrow::<2>, (bytes: &[u8], out: &mut [u64]));
-checked!(unpack_group8_sub4_avx2, Avx2, unpack_group8_sub_k::<4>,
-    scalar::unpack_group8_narrow::<4>, (bytes: &[u8], out: &mut [u64]));
-
-checked!(fill_codes_item7_avx2, Avx2, fill_codes_item_k::<7>, scalar::fill_codes_item::<7>,
-    (u: &[u8], rows: &[u64; 16], slots: &mut [u64]));
-checked!(fill_codes_item9_avx2, Avx2, fill_codes_item_k::<9>, scalar::fill_codes_item::<9>,
-    (u: &[u8], rows: &[u64; 16], slots: &mut [u64]));
-checked!(fill_codes_item11_avx2, Avx2, fill_codes_item_k::<11>, scalar::fill_codes_item::<11>,
-    (u: &[u8], rows: &[u64; 16], slots: &mut [u64]));
-checked!(fill_codes_item17_avx2, Avx2, fill_codes_item_k::<17>, scalar::fill_codes_item::<17>,
-    (u: &[u8], rows: &[u64; 16], slots: &mut [u64]));
-checked!(fill_codes_item_dyn_avx2, Avx2, fill_codes_item_dyn_k, scalar::fill_codes_item_dyn,
-    (u: &[u8], rows: &[u64; 16], slots: &mut [u64]));

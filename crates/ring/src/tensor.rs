@@ -2,7 +2,6 @@
 
 use crate::{Ring, ShapeError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A shaped tensor of elements of one [`Ring`].
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(doubled.to_signed(), vec![2, -4, 6, -8]);
 /// # Ok::<(), aq2pnn_ring::ShapeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RingTensor {
     ring: Ring,
     shape: Vec<usize>,

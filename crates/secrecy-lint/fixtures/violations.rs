@@ -46,3 +46,18 @@ fn seeded_compare(x: AShare, y: u64) -> bool {
 fn seeded_unused_allow() -> u64 {
     42
 }
+
+/// secret-branch through an out-parameter: a fill-style helper writes
+/// share-derived words into `&mut out`, and the caller branches on them.
+fn seeded_fill(x: &AShare, out: &mut Vec<u64>) {
+    out.push(x.as_tensor().get(0));
+}
+fn seeded_out_param_branch(x: &AShare) -> u64 {
+    let mut out = Vec::new();
+    seeded_fill(x, &mut out);
+    if out[0] > 7 { // expect: secret-branch
+        1
+    } else {
+        0
+    }
+}

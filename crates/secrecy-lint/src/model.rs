@@ -152,8 +152,8 @@ impl Report {
         self.violations.is_empty()
     }
 
-    /// Serializes the report as JSON (hand-rolled — no serde available for
-    /// arbitrary nesting in the vendored shims).
+    /// Serializes the report as JSON (hand-rolled — the workspace has no
+    /// serialization dependency).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");

@@ -1220,7 +1220,10 @@ impl<'a, 'c> FnPass<'a, 'c> {
 
     /// Evaluates call arguments; returns the OR of their taints. Closure
     /// parameters are pre-tainted when the receiver is tainted (so
-    /// `shares.iter().map(|v| …)` taints `v`).
+    /// `shares.iter().map(|v| …)` taints `v`). When any argument is
+    /// tainted, every `&mut ident` argument is tainted too: an
+    /// out-parameter (`split_groups_into(ring, &neg, .., &mut u_flat)`)
+    /// carries the call's result just like a return value does.
     fn eval_call_args(&mut self, items: &[Tree], base_tainted: bool, ctx: Ctx) -> bool {
         let mut tainted = false;
         let arg_ctx = Ctx { in_condition: false, ..ctx };
@@ -1264,6 +1267,17 @@ impl<'a, 'c> FnPass<'a, 'c> {
                 tainted |= self.eval_run(body, arg_ctx);
             } else {
                 tainted |= self.eval_run(arg, arg_ctx);
+            }
+        }
+        if tainted {
+            for arg in split_top(items, ",") {
+                if let [amp, mutkw, out] = arg {
+                    if amp.is_op("&") && mutkw.ident() == Some("mut") {
+                        if let Some(name) = out.ident() {
+                            self.taint.insert(name.to_string());
+                        }
+                    }
+                }
             }
         }
         tainted

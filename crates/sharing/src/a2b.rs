@@ -10,10 +10,9 @@
 //! least-significant group degrades to 1 bit.
 
 use aq2pnn_ring::Ring;
-use serde::{Deserialize, Serialize};
 
 /// One bit group of a decomposed value, MSB-first ordering.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BitGroup {
     /// Width of the group in bits (1 or 2).
     pub width: u32,

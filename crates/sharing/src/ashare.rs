@@ -3,7 +3,6 @@
 use crate::PartyId;
 use aq2pnn_ring::{Ring, RingTensor, ShapeError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One party's additive secret share of a [`RingTensor`].
@@ -15,7 +14,7 @@ use std::fmt;
 /// All methods here are *local* (no communication) — the AS-ALU of paper
 /// Sec. 4.1.3. Interactive operations (Beaver multiplication, comparison)
 /// live in the protocol crate.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct AShare(RingTensor);
 
 /// `Debug` deliberately redacts the share words: a share that reaches a log

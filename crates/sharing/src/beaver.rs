@@ -7,15 +7,14 @@
 //! trusted-dealer role (explicitly an idealized offline phase — the online
 //! protocol is unchanged).
 
-use crate::kernels::KernelDispatch;
-use aq2pnn_ring::{Ring, RingTensor, ShapeError};
-use serde::{Deserialize, Serialize};
+use aq2pnn_ring::simd::{self, scalar};
+use aq2pnn_ring::{IsaLevel, Ring, RingTensor, ShapeError};
 use std::fmt;
 
 /// One party's share of a Beaver triple `(⟦A⟧, ⟦B⟧, ⟦Z⟧)` with
 /// `Z = A ⊗ B` (matrix product) or `Z = A ⊙ B` (elementwise), depending on
 /// which dealer method produced it.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct TripleShare {
     /// Share of the input mask `A` (same shape as the left operand).
     pub a: RingTensor,
@@ -57,7 +56,7 @@ impl TripleShare {
 }
 
 /// Plaintext matrix multiplication over a ring: `C[m,n] = A[m,k] ⊗ B[k,n]`,
-/// on the process-wide [`KernelDispatch`] table.
+/// on the kernels of [`IsaLevel::active`].
 ///
 /// Shared by the dealer (to compute `Z`) and by the online GEMM evaluating
 /// paper Eq. 1, so this is the single hottest kernel in the system. See
@@ -68,11 +67,11 @@ impl TripleShare {
 /// Returns [`ShapeError::ShapeMismatch`] if the operands are not rank-2
 /// with an agreeing inner dimension, or live on different rings.
 pub fn ring_matmul(a: &RingTensor, b: &RingTensor) -> Result<RingTensor, ShapeError> {
-    ring_matmul_with(KernelDispatch::active(), a, b)
+    ring_matmul_with(IsaLevel::active(), a, b)
 }
 
-/// [`ring_matmul`] on an explicit kernel table — the entry point benches,
-/// per-ISA property tests and accelerator backends use.
+/// [`ring_matmul`] on an explicit ISA level — the entry point benches and
+/// per-ISA property tests use.
 ///
 /// The implementation is cache-blocked with **deferred masking**: because
 /// the ring modulus `2^ℓ` divides the accumulator modulus, the inner loops
@@ -83,17 +82,18 @@ pub fn ring_matmul(a: &RingTensor, b: &RingTensor) -> Result<RingTensor, ShapeEr
 /// else `u64`), which doubles/quadruples SIMD lane counts on the narrow
 /// paper widths. Output rows are processed in register-blocked quads (one
 /// pass over each pair of `B` rows updates four `C` rows through the
-/// table's `axpy2` kernels) on the caller's thread; the dispatch table
-/// only moves *when* the answer is ready, never *what* it is.
-/// [`ring_matmul_reference`] keeps the scalar triple loop for
-/// cross-checking.
+/// `axpy2` kernels) on the caller's thread. The u16 accumulator always
+/// runs the autovectorized scalar kernels; `isa` picks the hand-written
+/// u32/u64 kernels from [`aq2pnn_ring::simd`], which only moves *when*
+/// the answer is ready, never *what* it is. [`ring_matmul_reference`]
+/// keeps the scalar triple loop for cross-checking.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError::ShapeMismatch`] if the operands are not rank-2
 /// with an agreeing inner dimension, or live on different rings.
 pub fn ring_matmul_with(
-    d: &KernelDispatch,
+    isa: IsaLevel,
     a: &RingTensor,
     b: &RingTensor,
 ) -> Result<RingTensor, ShapeError> {
@@ -105,13 +105,19 @@ pub fn ring_matmul_with(
     let n = b.shape()[1];
     let (da, db) = (a.as_slice(), b.as_slice());
     if ra.bits() <= 16 {
-        return RingTensor::from_raw(ra, vec![m, n], matmul_narrow_u16(d, ra, m, k, n, da, db));
+        let out = matmul_narrow_u16((scalar::axpy_u16, scalar::axpy2_u16), ra, m, k, n, da, db);
+        return RingTensor::from_raw(ra, vec![m, n], out);
     }
     if ra.bits() <= 32 {
-        return RingTensor::from_raw(ra, vec![m, n], matmul_narrow_u32(d, ra, m, k, n, da, db));
+        let kernels = (simd::axpy_u32_for(isa), simd::axpy2_u32_for(isa));
+        return RingTensor::from_raw(
+            ra,
+            vec![m, n],
+            matmul_narrow_u32(kernels, ra, m, k, n, da, db),
+        );
     }
     let mask = ra.mask();
-    let (axpy, axpy2) = (d.axpy_u64, d.axpy2_u64);
+    let (axpy, axpy2) = (simd::axpy_u64_for(isa), simd::axpy2_u64_for(isa));
     let mut out = vec![0u64; m * n];
     let mut rows: Vec<&mut [u64]> = out.chunks_mut(n.max(1)).collect();
     for (q, quad) in rows.chunks_mut(4).enumerate() {
@@ -145,14 +151,14 @@ pub fn ring_matmul_with(
 
 /// Generates one narrow-accumulator matmul path: operands are demoted once
 /// (`O(mk + kn)`), the `O(mkn)` accumulation runs wrapping mod the
-/// accumulator width through the dispatch table's `axpy`/`axpy2` kernels,
-/// and the ring mask is applied at write-out — bit-identical to the `u64`
-/// path because `2^ℓ` divides the accumulator modulus.
+/// accumulator width through the given `axpy`/`axpy2` kernels, and the
+/// ring mask is applied at write-out — bit-identical to the `u64` path
+/// because `2^ℓ` divides the accumulator modulus.
 macro_rules! narrow_matmul {
-    ($name:ident, $row_fn:ident, $quad_fn:ident, $t:ty, $axpy_field:ident, $axpy2_field:ident) => {
+    ($name:ident, $row_fn:ident, $quad_fn:ident, $t:ty) => {
         #[allow(clippy::cast_possible_truncation)] // ring values fit the accumulator by the width guard
         fn $name(
-            d: &KernelDispatch,
+            (axpy, axpy2): (fn(&mut [$t], $t, &[$t]), fn(&mut [$t], $t, &[$t], $t, &[$t])),
             ring: Ring,
             m: usize,
             k: usize,
@@ -163,7 +169,6 @@ macro_rules! narrow_matmul {
             let an: Vec<$t> = da.iter().map(|&v| v as $t).collect();
             let bn: Vec<$t> = db.iter().map(|&v| v as $t).collect();
             let mask = ring.mask() as $t;
-            let (axpy, axpy2) = (d.$axpy_field, d.$axpy2_field);
             let mut out = vec![0 as $t; m * n];
             let mut rows: Vec<&mut [$t]> = out.chunks_mut(n.max(1)).collect();
             for (q, quad) in rows.chunks_mut(4).enumerate() {
@@ -254,22 +259,8 @@ macro_rules! narrow_matmul {
     };
 }
 
-narrow_matmul!(
-    matmul_narrow_u16,
-    accumulate_row_u16,
-    accumulate_quad_u16,
-    u16,
-    axpy_u16,
-    axpy2_u16
-);
-narrow_matmul!(
-    matmul_narrow_u32,
-    accumulate_row_u32,
-    accumulate_quad_u32,
-    u32,
-    axpy_u32,
-    axpy2_u32
-);
+narrow_matmul!(matmul_narrow_u16, accumulate_row_u16, accumulate_quad_u16, u16);
+narrow_matmul!(matmul_narrow_u32, accumulate_row_u32, accumulate_quad_u32, u32);
 
 /// Accumulates `A[i,:] ⊗ B` into one unreduced output row (mod `2^64`).
 fn accumulate_row_u64(

@@ -1,7 +1,6 @@
 //! Binary (XOR) secret shares.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One party's XOR share of a vector of bits.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// OUP-MSK buffer) are bit vectors shared as `b = b_i ⊕ b_j`. Bits are
 /// stored one per byte (`0`/`1`) for simplicity; the wire format packs them
 /// through `aq2pnn_transport::pack_bits` at 1 bit each.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BShare {
     bits: Vec<u8>,
 }

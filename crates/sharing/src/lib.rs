@@ -11,16 +11,15 @@
 //!   communication.
 //! * [`beaver`] — Beaver multiplication triples `⟦Z⟧ = ⟦A⟧·⟦B⟧` (elementwise
 //!   and matrix form) produced by a [`dealer::TripleDealer`], the
-//!   pre-computed AS-CST buffer contents.
+//!   pre-computed AS-CST buffer contents, and the ring GEMM
+//!   ([`beaver::ring_matmul`]) that runs the u32/u64 accumulators on the
+//!   host's AVX2/AVX-512 `axpy` kernels (DESIGN.md §7.4).
 //! * [`a2b`] — the bit-grouping at the heart of the A2BM (paper
 //!   Sec. 4.3.2): an ℓ-bit value splits into two 1-bit MSB groups plus
 //!   2-bit groups, each later driven through a `(1, 2^w)`-OT.
 //! * [`trunc`] — share truncation for 2PC-BNReQ: the SecureML-style local
 //!   truncation the hardware uses (probabilistically correct) and an
 //!   idealized exact functionality for ablations.
-//! * [`kernels`] — the runtime [`kernels::KernelDispatch`] table binding
-//!   the GEMM inner loops to the best ISA the host supports (DESIGN.md
-//!   §7.4), and the seam an accelerator backend registers into.
 //!
 //! # Example
 //!
@@ -46,7 +45,8 @@ mod ashare;
 pub mod beaver;
 mod binary;
 pub mod dealer;
-pub mod kernels;
+#[cfg(test)]
+mod kernels;
 mod party;
 pub mod trunc;
 

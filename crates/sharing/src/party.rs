@@ -1,6 +1,5 @@
 //! Party identities in the 2PC setup.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the two parties (paper Definition 3: `i, j ∈ {0, 1}`, `i ≠ j`).
@@ -8,7 +7,7 @@ use std::fmt;
 /// By convention in this reproduction, [`PartyId::User`] (index 0) supplies
 /// the input feature map and [`PartyId::ModelProvider`] (index 1) supplies
 /// the weights — but every protocol works symmetrically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartyId {
     /// Party 0 — the customer holding the private input.
     User,

@@ -4,11 +4,10 @@ use aq2pnn_ring::{IsaLevel, Ring, RingTensor};
 use aq2pnn_sharing::a2b::{group_count, group_widths, join_groups, split_groups};
 use aq2pnn_sharing::beaver::{ring_hadamard, ring_matmul, ring_matmul_reference, ring_matmul_with};
 use aq2pnn_sharing::dealer::TripleDealer;
-use aq2pnn_sharing::kernels::KernelDispatch;
 use aq2pnn_sharing::{trunc, AShare, BShare, PartyId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn ring_strategy() -> impl Strategy<Value = Ring> {
     (2u32..=48).prop_map(Ring::new)
@@ -95,34 +94,6 @@ proptest! {
     }
 
     #[test]
-    fn dispatch_matmul_bit_identical_at_boundary_widths(
-        m in 1usize..10,
-        k in 1usize..10,
-        n in 1usize..10,
-        seed in any::<u64>(),
-    ) {
-        // Every ISA's dispatch table must agree bit-for-bit with the scalar
-        // triple-loop reference exactly at the accumulator-width dispatch
-        // boundaries: around ℓ = 12 and 16 (u16 path), 20 (u32 path, the
-        // widest paper ring), and 32 (u32 → u64 crossover).
-        let mut rng = StdRng::seed_from_u64(seed);
-        for bits in [11u32, 12, 13, 15, 16, 17, 20, 21, 31, 32, 33] {
-            let ring = Ring::new(bits);
-            let a = RingTensor::random(ring, vec![m, k], &mut rng);
-            let b = RingTensor::random(ring, vec![k, n], &mut rng);
-            let want = ring_matmul_reference(&a, &b).unwrap();
-            for isa in IsaLevel::available() {
-                let d = KernelDispatch::for_isa(isa);
-                prop_assert_eq!(
-                    &ring_matmul_with(&d, &a, &b).unwrap(),
-                    &want,
-                    "isa={} bits={}", isa, bits
-                );
-            }
-        }
-    }
-
-    #[test]
     fn elementwise_triples_always_consistent(seed in any::<u64>(), bits in 4u32..=48) {
         let ring = Ring::new(bits);
         let mut d = TripleDealer::from_seed(seed);
@@ -196,5 +167,49 @@ proptest! {
         for (b, a) in plain_bits.iter().zip(arith.to_signed()) {
             prop_assert_eq!(i64::from(*b), a);
         }
+    }
+}
+
+/// Every ISA's kernels must agree bit-for-bit with the scalar triple-loop
+/// reference exactly at the accumulator-width boundaries: around ℓ = 12
+/// and 16 (u16 path), 20 (u32 path, the widest paper ring), and 32
+/// (u32 → u64 crossover).
+///
+/// Random shapes keep `n` below the AVX-512 u32 lane count (16), so they
+/// only reach the kernels' scalar tails; the GEMM shapes the workloads
+/// run (LeNet5 conv2/fc1, the VGG tail conv at batch 1 and 4 rows of
+/// batch 8 … 32) and an `m ≡ 3 (mod 4)` quad remainder run the vector
+/// bodies too, at the widths where a hand-written kernel is picked.
+#[test]
+fn dispatch_matmul_bit_identical_at_boundary_widths() {
+    let check = |m: usize, k: usize, n: usize, widths: &[u32], rng: &mut StdRng| {
+        for &bits in widths {
+            let ring = Ring::new(bits);
+            let a = RingTensor::random(ring, vec![m, k], rng);
+            let b = RingTensor::random(ring, vec![k, n], rng);
+            let want = ring_matmul_reference(&a, &b).unwrap();
+            for isa in IsaLevel::available() {
+                assert_eq!(
+                    ring_matmul_with(isa, &a, &b).unwrap(),
+                    want,
+                    "isa={isa} bits={bits} shape={m}x{k}x{n}"
+                );
+            }
+        }
+    };
+    let mut rng = StdRng::seed_from_u64(0x5eed_0d15);
+    for _ in 0..64 {
+        let (m, k, n) = (rng.gen_range(1..10), rng.gen_range(1..10), rng.gen_range(1..10));
+        check(m, k, n, &[11, 12, 13, 15, 16, 17, 20, 21, 31, 32, 33], &mut rng);
+    }
+    let workload_shapes = [
+        (100, 150, 16),  // LeNet5 conv2
+        (1, 400, 120),   // LeNet5 fc1
+        (4, 2304, 256),  // vggtail conv, batch 1
+        (32, 2304, 256), // vggtail conv, batch 8
+        (7, 33, 47),     // m ≡ 3 (mod 4) quad remainder, odd k and n tails
+    ];
+    for (m, k, n) in workload_shapes {
+        check(m, k, n, &[16, 20, 32, 33], &mut rng);
     }
 }

@@ -65,6 +65,8 @@ mod line;
 mod network;
 mod packing;
 mod session;
+#[cfg(test)]
+mod simd;
 mod stats;
 mod tcp;
 mod transport;
@@ -77,8 +79,7 @@ pub use frame::{Crc32, Frame, FrameKind, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 pub use line::{http_get, LineReader, MAX_LINE_LEN};
 pub use network::{NetworkModel, SESSION_WIRE_FRAMING_BYTES};
 pub use packing::{
-    pack_bits, pack_bits_reference, pack_bits_with_isa, packed_len, unpack_bits, unpack_bits_at,
-    unpack_bits_reference, unpack_bits_with_isa,
+    pack_bits, pack_bits_reference, packed_len, unpack_bits, unpack_bits_at, unpack_bits_reference,
 };
 pub use session::{session_metric_name, Session, SessionConfig, SessionTelemetry};
 pub use stats::{ChannelStats, ChannelTotals, PhaseStats};

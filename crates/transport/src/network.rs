@@ -1,7 +1,5 @@
 //! Analytic network timing model.
 
-use serde::{Deserialize, Serialize};
-
 /// Converts measured traffic into wall-clock link time.
 ///
 /// The paper connects the two ZCU104 boards "with Ethernet LAN at a
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Because the number of handshakes stays constant when the feature-map
 /// size grows, throughput degrades sub-linearly with input scaling — the
 /// observation of paper Sec. 6.4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Link bandwidth in bits per second.
     pub bandwidth_bps: f64,

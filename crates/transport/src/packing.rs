@@ -6,13 +6,12 @@
 //! exploit. Elements are laid down LSB-first in a little-endian bit stream.
 //!
 //! The hot widths (sub-byte comparison codes and the paper rings ℓ = 12/20)
-//! route through the width-specialized 8-element group kernels in
-//! [`aq2pnn_ring::simd`], selected per ISA level at runtime (DESIGN.md
-//! §7.4). The wire format is kernel-independent: every specialized path is
-//! property-tested byte-identical to the generic bit loop.
-
-use aq2pnn_ring::simd;
-use aq2pnn_ring::IsaLevel;
+//! route through width-specialized group kernels: const-generic SWAR over
+//! one `u128`, safe scalar Rust picked by width alone. They replaced hand
+//! AVX2 sub-byte kernels that did not pay for their `unsafe`
+//! (EXPERIMENTS.md, "Kernel tiers pruned"). The wire format is
+//! kernel-independent: every specialized path is property-tested
+//! byte-identical to the generic bit loop.
 
 /// Number of bytes `count` elements of `bits`-bit width occupy on the wire.
 ///
@@ -31,8 +30,8 @@ pub fn packed_len(bits: u32, count: usize) -> usize {
 /// Widths that are a whole number of bytes (8/16/24/…/64 bits) take a fast
 /// path: each element is a straight copy of its low `bits/8` little-endian
 /// bytes, with no bit shifting. Widths with a specialized kernel fill
-/// 8-element groups — 8 elements span exactly `bits` bytes, so group
-/// boundaries are byte-aligned; the rest use the generic bit loop.
+/// whole-byte chunks of 8 (at 20 bits, 4) elements, so chunk boundaries
+/// are byte-aligned; the rest use the generic bit loop.
 ///
 /// # Panics
 ///
@@ -49,20 +48,8 @@ pub fn packed_len(bits: u32, count: usize) -> usize {
 /// assert_eq!(unpack_bits(&bytes, 10, 3), elems);
 /// ```
 #[must_use]
-pub fn pack_bits(elems: &[u64], bits: u32) -> Vec<u8> {
-    pack_bits_with_isa(elems, bits, IsaLevel::active())
-}
-
-/// [`pack_bits`] with an explicit ISA level — the entry point benches and
-/// per-ISA property tests use. The produced bytes are identical for every
-/// level; only throughput differs.
-///
-/// # Panics
-///
-/// Panics if `bits` is not in `1..=64`.
-#[must_use]
 #[allow(clippy::cast_possible_truncation)] // low-byte truncation is the packing operation itself
-pub fn pack_bits_with_isa(elems: &[u64], bits: u32, isa: IsaLevel) -> Vec<u8> {
+pub fn pack_bits(elems: &[u64], bits: u32) -> Vec<u8> {
     assert!((1..=64).contains(&bits), "element width must be 1..=64 bits");
     let mut out = vec![0u8; packed_len(bits, elems.len())];
     if bits.is_multiple_of(8) {
@@ -102,23 +89,85 @@ pub fn pack_bits_with_isa(elems: &[u64], bits: u32, isa: IsaLevel) -> Vec<u8> {
         }
         return out;
     }
-    // 8 elements of any width span exactly `bits` bytes, so group
-    // boundaries are byte-aligned and the specialized kernels (sub-byte
-    // comparison codes, the ℓ = 12/20 paper rings) can fill whole groups
-    // without bit-straddle logic.
-    let Some(group_fn) = simd::pack_group8_fn(isa, bits) else {
-        // Unspecialized width: one pass of the bit loop.
-        pack_into(elems, bits, &mut out);
-        return out;
-    };
-    let full_groups = elems.len() / 8;
-    let (head, tail) = out.split_at_mut(full_groups * bits as usize);
-    for (buf, src) in head.chunks_exact_mut(bits as usize).zip(elems.chunks_exact(8)) {
-        group_fn(src, buf);
+    match pack_group_fn(bits) {
+        Some(pack) => pack(elems, &mut out),
+        None => pack_into(elems, bits, &mut out),
     }
-    // Remainder (< 8 elements) starts on a byte boundary by construction.
-    pack_into(&elems[full_groups * 8..], bits, tail);
     out
+}
+
+/// A group packer: `elems` into a zeroed `out` of [`packed_len`] bytes.
+type GroupPack = fn(&[u64], &mut [u8]);
+/// A group unpacker: `out.len()` elements from `bytes`.
+type GroupUnpack = fn(&[u8], &mut [u64]);
+
+/// The width-specialized group packer for `bits`, if that width has one:
+/// the 1/2/4-bit codes and bitmaps and the paper's 12- and 20-bit rings.
+/// Every other width takes the generic bit loop.
+pub(crate) fn pack_group_fn(bits: u32) -> Option<GroupPack> {
+    Some(match bits {
+        1 => pack_grouped::<1>,
+        2 => pack_grouped::<2>,
+        4 => pack_grouped::<4>,
+        12 => pack_grouped::<12>,
+        20 => pack_grouped::<20>,
+        _ => return None,
+    })
+}
+
+/// The inverse of [`pack_group_fn`]: the group unpacker for `bits`, at
+/// exactly the same widths.
+pub(crate) fn unpack_group_fn(bits: u32) -> Option<GroupUnpack> {
+    Some(match bits {
+        1 => unpack_grouped::<1>,
+        2 => unpack_grouped::<2>,
+        4 => unpack_grouped::<4>,
+        12 => unpack_grouped::<12>,
+        20 => unpack_grouped::<20>,
+        _ => return None,
+    })
+}
+
+/// Packs `elems` at one of the widths the adaptive ℓ-profiles put on the
+/// wire (1/2/4-bit codes and bitmaps, the paper's 12- and 20-bit rings)
+/// chunk by chunk through one `u128` accumulator, monomorphized so the
+/// shifts, the mask and the copy lengths are compile-time constants; the
+/// remainder takes the bit loop. A chunk is a whole 8-element group
+/// (`BITS` bytes) up to 16 bits and 4 elements (`BITS/2` bytes) for even
+/// `BITS ≤ 32`: whole bytes either way, so no bit straddles a chunk.
+fn pack_grouped<const BITS: u32>(elems: &[u64], out: &mut [u8]) {
+    let per = if BITS <= 16 { 8 } else { 4 };
+    let chunk_bytes = per * BITS as usize / 8;
+    let mask = (1u128 << BITS) - 1;
+    let full = elems.len() / per * per;
+    for (buf, src) in out.chunks_exact_mut(chunk_bytes).zip(elems[..full].chunks_exact(per)) {
+        let mut acc = 0u128;
+        for (j, &e) in src.iter().enumerate() {
+            acc |= (u128::from(e) & mask) << (BITS as usize * j);
+        }
+        buf.copy_from_slice(&acc.to_le_bytes()[..chunk_bytes]);
+    }
+    pack_into(&elems[full..], BITS, &mut out[full / per * chunk_bytes..]);
+}
+
+/// Inverse of [`pack_grouped`]: one `u128` load per chunk, constant
+/// shift-and-mask extracts.
+fn unpack_grouped<const BITS: u32>(bytes: &[u8], out: &mut [u64]) {
+    let per = if BITS <= 16 { 8 } else { 4 };
+    let chunk_bytes = per * BITS as usize / 8;
+    let mask = (1u128 << BITS) - 1;
+    let full = out.len() / per * per;
+    let (head, tail) = out.split_at_mut(full);
+    for (dst, src) in head.chunks_exact_mut(per).zip(bytes.chunks_exact(chunk_bytes)) {
+        let mut buf = [0u8; 16];
+        buf[..chunk_bytes].copy_from_slice(src);
+        let acc = u128::from_le_bytes(buf);
+        #[allow(clippy::cast_possible_truncation)] // masked to BITS ≤ 32 bits
+        for (j, slot) in dst.iter_mut().enumerate() {
+            *slot = ((acc >> (BITS as usize * j)) & mask) as u64;
+        }
+    }
+    unpack_into(&bytes[full / per * chunk_bytes..], BITS, tail);
 }
 
 /// Packs a run of elements LSB-first starting at bit 0 of `out`.
@@ -147,8 +196,8 @@ fn pack_into(elems: &[u64], bits: u32, out: &mut [u8]) {
 /// produced by [`pack_bits`].
 ///
 /// Mirrors the [`pack_bits`] structure: whole-byte widths are straight
-/// little-endian byte reads, specialized widths decode 8-element groups on
-/// byte-aligned boundaries, the rest use the generic bit loop.
+/// little-endian byte reads, specialized widths decode byte-aligned
+/// chunks, the rest use the generic bit loop.
 ///
 /// # Panics
 ///
@@ -156,19 +205,6 @@ fn pack_into(elems: &[u64], bits: u32, out: &mut [u8]) {
 /// `count` elements.
 #[must_use]
 pub fn unpack_bits(bytes: &[u8], bits: u32, count: usize) -> Vec<u64> {
-    unpack_bits_with_isa(bytes, bits, count, IsaLevel::active())
-}
-
-/// [`unpack_bits`] with an explicit ISA level — the entry point benches and
-/// per-ISA property tests use. The decoded elements are identical for every
-/// level; only throughput differs.
-///
-/// # Panics
-///
-/// Panics if `bits` is not in `1..=64` or if `bytes` is too short to hold
-/// `count` elements.
-#[must_use]
-pub fn unpack_bits_with_isa(bytes: &[u8], bits: u32, count: usize, isa: IsaLevel) -> Vec<u64> {
     assert!((1..=64).contains(&bits), "element width must be 1..=64 bits");
     assert!(
         bytes.len() >= packed_len(bits, count),
@@ -197,21 +233,11 @@ pub fn unpack_bits_with_isa(bytes: &[u8], bits: u32, count: usize, isa: IsaLevel
                 .collect(),
         };
     }
-    // Mirror of the grouped pack path: specialized widths decode whole
-    // 8-element groups through the per-ISA kernel, the rest use the bit
-    // loop.
     let mut out = vec![0u64; count];
-    let Some(group_fn) = simd::unpack_group8_fn(isa, bits) else {
-        unpack_into(bytes, bits, &mut out);
-        return out;
-    };
-    let group_bytes = bits as usize;
-    let full_groups = count / 8;
-    let (head, tail) = out.split_at_mut(full_groups * 8);
-    for (grp, src) in head.chunks_exact_mut(8).zip(bytes.chunks_exact(group_bytes)) {
-        group_fn(src, grp);
+    match unpack_group_fn(bits) {
+        Some(unpack) => unpack(bytes, &mut out),
+        None => unpack_into(bytes, bits, &mut out),
     }
-    unpack_into(&bytes[full_groups * group_bytes..], bits, tail);
     out
 }
 
@@ -343,30 +369,26 @@ mod tests {
 
     #[test]
     fn every_isa_matches_reference_bytes_on_every_width() {
-        // The wire format is kernel-independent: for every ISA level the
-        // host can run (plus scalar), the packed bytes and decoded elements
-        // must be identical to the generic bit-loop reference. Widths cover
-        // the specialized set (1/2/4/12/20), the dispatch boundaries around
-        // it (11/13/21), and unspecialized odd widths.
-        for isa in IsaLevel::available() {
-            for bits in [1u32, 2, 3, 4, 5, 11, 12, 13, 16, 20, 21, 31, 32, 33, 63, 64] {
-                let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-                for count in [0usize, 1, 7, 8, 9, 16, 61] {
-                    let elems: Vec<u64> = (0..count as u64)
-                        .map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 11) & mask)
-                        .collect();
-                    let packed = pack_bits_with_isa(&elems, bits, isa);
-                    assert_eq!(
-                        packed,
-                        pack_bits_reference(&elems, bits),
-                        "pack isa={isa} bits={bits} count={count}"
-                    );
-                    assert_eq!(
-                        unpack_bits_with_isa(&packed, bits, count, isa),
-                        elems,
-                        "unpack isa={isa} bits={bits} count={count}"
-                    );
-                }
+        // The wire format does not depend on the host ISA: each width has
+        // one packer, and its bytes and decoded elements must equal the
+        // generic bit-loop reference. Widths cover the grouped set
+        // (1/2/4/12/20), the boundaries around it (11/13/21), and
+        // unspecialized odd widths. Inputs carry high bits above the
+        // width, which every path must truncate the same way.
+        for bits in [1u32, 2, 3, 4, 5, 11, 12, 13, 16, 20, 21, 31, 32, 33, 63, 64] {
+            let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+            for count in [0usize, 1, 3, 4, 7, 8, 9, 16, 61] {
+                let elems: Vec<u64> = (0..count as u64)
+                    .map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 11))
+                    .collect();
+                let packed = pack_bits(&elems, bits);
+                assert_eq!(
+                    packed,
+                    pack_bits_reference(&elems, bits),
+                    "pack bits={bits} count={count}"
+                );
+                let masked: Vec<u64> = elems.iter().map(|&e| e & mask).collect();
+                assert_eq!(unpack_bits(&packed, bits, count), masked, "unpack bits={bits}");
             }
         }
     }

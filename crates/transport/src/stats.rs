@@ -1,10 +1,9 @@
 //! Per-endpoint, per-phase communication accounting.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Counters for one labelled protocol phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Bytes written to the wire during this phase.
     pub bytes_sent: u64,
@@ -33,7 +32,7 @@ impl PhaseStats {
 /// A *round* is counted each time the direction of traffic flips from
 /// receiving to sending — the round-trip count that multiplies the link
 /// latency in the [`crate::NetworkModel`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Total bytes sent.
     pub bytes_sent: u64,

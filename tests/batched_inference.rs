@@ -114,9 +114,8 @@ fn run_batch_bit_identical_across_thread_counts() {
     let baseline = sequential_logits(&cfg, &images[..4]);
     for sessions in [1usize, 4] {
         let results: Vec<Vec<Vec<i64>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..sessions)
-                .map(|_| s.spawn(|| batched_logits(&cfg, &images[..4])))
-                .collect();
+            let handles: Vec<_> =
+                (0..sessions).map(|_| s.spawn(|| batched_logits(&cfg, &images[..4]))).collect();
             handles.into_iter().map(|h| h.join().expect("session thread")).collect()
         });
         for (k, got) in results.iter().enumerate() {
