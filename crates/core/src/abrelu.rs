@@ -368,9 +368,8 @@ pub fn fill_sender_codes(
 }
 
 /// [`fill_sender_codes`] with the per-item kernel disabled: the generic
-/// loop (precomputed code rows + per-group memcpy), kept as the speedup
-/// denominator for the kernel benches and as a second ground truth for
-/// identity tests.
+/// loop (precomputed code rows + per-group memcpy), kept as a second
+/// ground truth for identity tests.
 ///
 /// # Panics
 ///

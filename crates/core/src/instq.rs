@@ -186,18 +186,6 @@ impl Program {
             .sum()
     }
 
-    /// Total AS-ALU element operations.
-    #[must_use]
-    pub fn alu_elems(&self) -> u64 {
-        self.instrs
-            .iter()
-            .map(|i| match i {
-                Instr::Alu { elems, .. } => *elems,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Traffic attributed to phases whose label starts with `prefix`
     /// (e.g. `"abrelu"`), both directions.
     #[must_use]

@@ -188,26 +188,6 @@ fn conv_finish_batch(
     Ok(AShare::from_tensor(RingTensor::from_raw(ring, vec![b * g.out_c, oh, ow], out)?))
 }
 
-/// 2PC-Linear: a 1×`in_f` AS-GEMM against `[in_f, out_f]` plus bias.
-///
-/// # Errors
-///
-/// Propagates GEMM/transport failures.
-pub fn secure_linear(
-    ctx: &mut PartyContext,
-    x: &AShare,
-    w_mat: &AShare,
-    bias: &AShare,
-) -> Result<AShare, ProtocolError> {
-    let in_f = x.len();
-    let out = secure_matmul_expanded(ctx, x, w_mat, move |t| {
-        let mut m = t.clone();
-        m.reshape(vec![1, in_f]).expect("row vector");
-        m
-    })?;
-    linear_finish(&out, bias)
-}
-
 /// 2PC-Linear online pass for prepared models (see
 /// [`secure_conv2d_prepared`]).
 ///

@@ -11,9 +11,9 @@
 //! The oracle only exists in the in-process simulator; the paper-faithful
 //! configuration ([`crate::ProtocolConfig::paper`]) never touches it.
 
+use aq2pnn_parallel::sync::{Condvar, Mutex};
 use aq2pnn_ring::{extend, Ring, RingTensor};
 use aq2pnn_sharing::{AShare, PartyId};
-use parking_lot::{Condvar, Mutex};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 
@@ -134,7 +134,7 @@ impl IdealOracle {
                     return mine;
                 }
             }
-            self.cv.wait(&mut guard);
+            guard = self.cv.wait(guard);
         }
     }
 }

@@ -21,9 +21,10 @@ static LUT_FALLBACK_HITS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of `pow` calls on LUT-backed groups that could *not*
 /// be served from the tables (an even base — impossible inside the OT-flow,
-/// where every mask is an odd residue). Benches assert this stays flat
-/// across a run: for ℓ ≤ 20 groups the hot path must never hit the
-/// square-and-multiply fallback.
+/// where every mask is an odd residue). For ℓ ≤ 20 groups the hot path
+/// must never hit the square-and-multiply fallback:
+/// `tests/sign_exhaustive.rs::wide_ring_large_batch` asserts this count
+/// stays flat across each engine run.
 #[must_use]
 pub fn lut_fallback_hits() -> u64 {
     LUT_FALLBACK_HITS.load(Ordering::Relaxed)
@@ -117,8 +118,8 @@ impl OtGroup {
     /// Like [`OtGroup::power_of_two`] but without the discrete-log table:
     /// `pow_g` still uses the power LUT while `pow` takes the
     /// square-and-multiply path for every call — the pre-optimization
-    /// behaviour, kept callable as the serial baseline for benches and
-    /// regression tests. Protocol results are bit-identical, only slower.
+    /// behaviour, kept callable as the ground truth for regression tests.
+    /// Protocol results are bit-identical, only slower.
     ///
     /// # Panics
     ///

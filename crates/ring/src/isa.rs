@@ -7,7 +7,7 @@
 //! host lacks.
 //!
 //! [`IsaLevel::active`] is the cached detection result the GEMM in
-//! `aq2pnn-sharing` uses; benches and property tests iterate
+//! `aq2pnn-sharing` uses; property tests iterate
 //! [`IsaLevel::available`] to pin every reachable path bit-identical to
 //! the scalar reference on the machine at hand.
 

@@ -175,8 +175,8 @@ impl Ring {
     }
 
     /// The pre-specialization 64-iteration constant-time ladder, kept as
-    /// ground truth for property tests and as the serial baseline for
-    /// benches. Bit-identical to [`Ring::pow`] on every input.
+    /// ground truth for property tests. Bit-identical to [`Ring::pow`] on
+    /// every input.
     #[must_use]
     pub fn pow_reference(self, a: u64, e: u64) -> u64 {
         let mut base = self.reduce(a);

@@ -70,8 +70,8 @@ pub fn ring_matmul(a: &RingTensor, b: &RingTensor) -> Result<RingTensor, ShapeEr
     ring_matmul_with(IsaLevel::active(), a, b)
 }
 
-/// [`ring_matmul`] on an explicit ISA level — the entry point benches and
-/// per-ISA property tests use.
+/// [`ring_matmul`] on an explicit ISA level — the entry point per-ISA
+/// property tests use.
 ///
 /// The implementation is cache-blocked with **deferred masking**: because
 /// the ring modulus `2^ℓ` divides the accumulator modulus, the inner loops

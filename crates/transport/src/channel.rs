@@ -9,8 +9,8 @@
 
 use crate::transport::{mem_pair, Transport};
 use crate::{pack_bits, packed_len, unpack_bits, ChannelStats, TransportError};
+use aq2pnn_parallel::sync::Mutex;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -91,7 +91,7 @@ impl Endpoint {
     /// code upward is oblivious to what carries its bytes.
     #[must_use]
     pub fn over_transport(link: Arc<dyn Transport>, default_deadline: Option<Duration>) -> Self {
-        Endpoint { link, state: Arc::default(), default_deadline }
+        Endpoint { link, state: Arc::new(Mutex::new(EndpointState::default())), default_deadline }
     }
 
     /// Description of the underlying link (for diagnostics).

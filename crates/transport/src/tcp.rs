@@ -176,18 +176,6 @@ impl TcpTransport {
         })
     }
 
-    /// Listener variant of [`TcpTransport::connect`]-style construction
-    /// with a custom config.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Io`] if the address cannot be bound.
-    pub fn listen_with(addr: impl ToSocketAddrs, cfg: TcpConfig) -> Result<Self, TransportError> {
-        let mut t = Self::listen(addr)?;
-        t.cfg = cfg;
-        Ok(t)
-    }
-
     /// The bound address (listener side; useful with port 0).
     ///
     /// # Errors

@@ -25,7 +25,7 @@ use aq2pnn_nn::zoo;
 use aq2pnn_ring::{Ring, RingTensor};
 use aq2pnn_sharing::dealer::TripleDealer;
 use aq2pnn_sharing::PartyId;
-use aq2pnn_transport::duplex;
+use aq2pnn_transport::{duplex, ChannelStats};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -149,44 +149,60 @@ proptest! {
     }
 }
 
+/// Bytes of every `offline`-prefixed phase, by phase label.
+fn offline_phase_bytes(stats: &ChannelStats) -> Vec<(String, u64)> {
+    stats
+        .phases
+        .iter()
+        .filter(|(label, _)| label.starts_with("offline"))
+        .map(|(label, phase)| (label.clone(), phase.total_bytes()))
+        .collect()
+}
+
 /// A background dealer pool is transcript-invisible: pooled triples are
 /// the same stream elements inline generation would draw, so a dealer-fed
-/// service run recovers exactly the inline run's logits.
+/// service run recovers exactly the inline run's logits. Its batched
+/// online passes also move no offline traffic: serving 4 images at
+/// `batch = 2` leaves every `offline` phase exactly where serving 2 does.
 #[test]
 fn background_dealer_matches_inline_generation() {
     let (model, images) = model_and_images();
     let cfg = ProtocolConfig::paper(16);
+    let dealer = DealerConfig { depth: 8, policy: ExhaustionPolicy::GenerateInline };
     let refs: Vec<&[f32]> = images[..4].iter().map(Vec::as_slice).collect();
+    let service_run = |refs: &[&[f32]], dealer: Option<DealerConfig>| {
+        let (e0, e1) = duplex();
+        run_two_party_service(
+            e0,
+            e1,
+            model,
+            &cfg,
+            refs,
+            2,
+            dealer,
+            PartyObs::default(),
+            PartyObs::default(),
+        )
+        .expect("service run")
+    };
 
-    let (e0, e1) = duplex();
-    let inline = run_two_party_service(
-        e0,
-        e1,
-        model,
-        &cfg,
-        &refs,
-        2,
-        None,
-        PartyObs::default(),
-        PartyObs::default(),
-    )
-    .expect("inline run");
-
-    let (e0, e1) = duplex();
-    let dealt = run_two_party_service(
-        e0,
-        e1,
-        model,
-        &cfg,
-        &refs,
-        2,
-        Some(DealerConfig { depth: 8, policy: ExhaustionPolicy::GenerateInline }),
-        PartyObs::default(),
-        PartyObs::default(),
-    )
-    .expect("dealer-backed run");
-
+    let inline = service_run(&refs, None);
+    let dealt = service_run(&refs, Some(dealer));
     assert_eq!(inline.logits, dealt.logits, "background dealer changed the recovered logits");
+
+    let one_pass = service_run(&refs[..2], Some(dealer));
+    for (party, one, two) in [
+        ("user", &one_pass.user_stats, &dealt.user_stats),
+        ("provider", &one_pass.provider_stats, &dealt.provider_stats),
+    ] {
+        let offline = offline_phase_bytes(one);
+        assert!(offline.iter().any(|&(_, b)| b > 0), "{party}: prepare moved no offline bytes");
+        assert_eq!(
+            offline,
+            offline_phase_bytes(two),
+            "{party}: dealer-fed online passes carried offline-phase traffic"
+        );
+    }
 }
 
 /// A strict pool (`ExhaustionPolicy::Fail`) that runs dry must surface

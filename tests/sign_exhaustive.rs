@@ -6,11 +6,13 @@
 //! inputs that both parties see mirrored. This file pins that exhaustively
 //! on a small ring (ℓ = 6: every `(x_0, x_1)` share pair) across
 //! {Single, Lazy} × {RevealedSign, MaskedMux}, plus a large batch on the
-//! paper's ℓ = 16 ring.
+//! paper's ℓ = 16 ring, which also guards the OT group's LUT path: no
+//! engine run on an ℓ ≤ 20 ring may fall back to square-and-multiply.
 
 use aq2pnn::abrelu::secure_sign;
 use aq2pnn::sim::run_pair;
 use aq2pnn::{ProtocolConfig, ReluMode, ReluRounds};
+use aq2pnn_ot::lut_fallback_hits;
 use aq2pnn_ring::{Ring, RingTensor};
 use aq2pnn_sharing::{AShare, PartyId};
 use aq2pnn_transport::ChannelStats;
@@ -28,6 +30,7 @@ fn run_sign(cfg: &ProtocolConfig, s0: Vec<u64>, s1: Vec<u64>, mode: ReluMode) ->
             PartyId::User => s0.clone(),
             PartyId::ModelProvider => s1.clone(),
         };
+        assert_eq!(ctx.group.lut_backed(), ctx.cfg.q1_bits <= 20, "ℓ ≤ 20 groups are LUT-backed");
         let t = RingTensor::from_raw(ring, vec![raw.len()], raw).unwrap();
         let share = AShare::from_tensor(t);
         ctx.ep.reset_stats();
@@ -89,7 +92,9 @@ fn exhaustive_l6_all_modes() {
 }
 
 /// The same checks on the paper's ℓ = 16 ring with a large batch (9 groups,
-/// 32 OT slots/item: the per-ISA item kernel's geometry).
+/// 32 OT slots/item), plus the LUT guard: the engine's groups are
+/// LUT-backed at this width and no `pow` misses the tables
+/// ([`lut_fallback_hits`] stays flat across each run).
 #[test]
 fn wide_ring_large_batch() {
     let ring = Ring::new(16);
@@ -104,7 +109,9 @@ fn wide_ring_large_batch() {
     for rounds in [ReluRounds::Single, ReluRounds::Lazy] {
         let mut cfg = ProtocolConfig::paper(16);
         cfg.relu_rounds = rounds;
+        let fallbacks_before = lut_fallback_hits();
         let ((user, _), (provider, _)) = run_sign_twice(&cfg, &s0, &s1, ReluMode::RevealedSign);
+        assert_eq!(lut_fallback_hits(), fallbacks_before, "engine left the LUT path: {rounds:?}");
         assert_eq!(provider.as_deref(), Some(&expect[..]), "rounds={rounds:?}");
         assert_eq!(user.as_deref(), Some(&expect[..]), "rounds={rounds:?}");
     }
