@@ -27,7 +27,7 @@ pub struct PartyContext {
     /// This party's identity.
     pub id: PartyId,
     /// Channel to the peer. Any [`Endpoint`] works: an in-process duplex
-    /// half, or `Endpoint::over_transport` atop a reliability session on a
+    /// half, or `Endpoint::over_transport` atop a `Session` on a
     /// real TCP link — the protocol code is transport-agnostic.
     pub ep: Endpoint,
     /// Session configuration.

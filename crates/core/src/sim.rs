@@ -109,10 +109,11 @@ pub fn run_two_party(
 
 /// Like [`run_two_party`], but over caller-supplied endpoints.
 ///
-/// This is the entry point of the fault-tolerance soak tests: hand it
-/// endpoints over a [`aq2pnn_transport::Session`] wrapping a
-/// [`aq2pnn_transport::FaultyTransport`] and the inference must still
-/// complete with logits bit-identical to the in-process run.
+/// This is the entry point of the fault soak tests: hand it endpoints
+/// over a [`aq2pnn_transport::Session`] wrapping a
+/// [`aq2pnn_transport::FaultyTransport`] that only delays frames, and the
+/// inference must still complete with logits bit-identical to the
+/// in-process run.
 ///
 /// # Errors
 ///

@@ -77,7 +77,7 @@ struct HistAccum {
 /// (a sample with no preceding `# TYPE`), or unsupported schema version.
 pub fn parse_text(text: &str) -> Result<MetricsSnapshot, String> {
     if let Some(v) = text_schema_version(text) {
-        if v == 0 || v > METRICS_SCHEMA_VERSION {
+        if v != METRICS_SCHEMA_VERSION {
             return Err(format!("exposition: unsupported schema version {v}"));
         }
     }
@@ -222,8 +222,9 @@ mod tests {
     #[test]
     fn unknown_sample_and_bad_version_rejected() {
         assert!(parse_text("orphan 3\n").is_err());
-        assert!(parse_text("# SCHEMA 99\n").is_err());
-        assert!(parse_text("# SCHEMA 0\n").is_err());
+        for other in [0, METRICS_SCHEMA_VERSION - 1, METRICS_SCHEMA_VERSION + 1, 99] {
+            assert!(parse_text(&format!("# SCHEMA {other}\n")).is_err(), "v{other} accepted");
+        }
         // An empty but versioned body is a valid (empty) snapshot.
         let snap = parse_text(&format!("# SCHEMA {METRICS_SCHEMA_VERSION}\n")).unwrap();
         assert!(snap.counters.is_empty() && snap.histograms.is_empty());

@@ -15,31 +15,32 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Version of the metric-name schema emitted in `metrics.json`.
+/// Version of the metric-name schema emitted in `metrics.json` and the
+/// `/metrics` exposition. Parsers accept this version only.
 ///
-/// * v1 — session/transport/OT counters and gauges.
-/// * v2 — adds the batched-service family: `dealer.hits`,
-///   `dealer.misses`, `dealer.generated`, `dealer.queue_depth.{layer}`
-///   gauges, and the `dealer.take_batch` / `engine.batch_size`
-///   histograms. Purely additive; v1 documents still parse.
-/// * v3 — adds the multi-tenant server family: the
+/// v5 is the current schema. Its families:
+///
+/// * the OT layer: the `ot.batches`, `ot.batches_lut` and
+///   `ot.lut_fallback_pows` counters and the `ot.batch_slots` /
+///   `ot.batch_items` histograms;
+/// * the batched service: `dealer.hits`, `dealer.misses`,
+///   `dealer.generated` and `dealer.starved_ms` counters, the
+///   `dealer.queue_depth.{layer}` gauges, and the `dealer.take_batch` /
+///   `engine.batch_size` histograms;
+/// * the multi-tenant server: the
 ///   `server.sessions_{admitted,shed,reaped,rejected,faulted,completed}`
-///   counters, the `server.sessions_active` and `server.drain_ms` gauges,
-///   and the per-stream reliability counters
-///   `session.<stream>.{acks_sent,naks_sent,retransmits,duplicates,corrupt_frames,misrouted,reconnects}`
-///   (stream `0` keeps the unprefixed v1 `session.*` names). Purely
-///   additive; v1 and v2 documents still parse.
-/// * v4 — adds the live-telemetry family: the `server.inflight` gauge
-///   (admitted-and-not-yet-finished sessions, mirrors
-///   `server.sessions_active`), the `server.queue_wait_ms` histogram
-///   (admission-to-run-slot wait), the `dealer.starved_ms` counter
-///   (wall-clock ms spent generating triples inline on a dealer miss),
-///   the SLO latency histograms
+///   and `server.slo_violations` counters, the `server.sessions_active`,
+///   `server.inflight` and `server.drain_ms` gauges, the
+///   `server.queue_wait_ms` histogram, and the SLO latency histograms
 ///   `server.slo.{admission,online,e2e}_ms` with their
 ///   `server.slo.{admission,online,e2e}.p{50,90,99}` gauges (recomputed
-///   on scrape), and the `server.slo_violations` counter (`--slo-ms`
-///   budget overruns). Purely additive; v1–v3 documents still parse.
-pub const METRICS_SCHEMA_VERSION: u64 = 4;
+///   on scrape).
+///
+/// v5 dropped v4's per-stream link-repair counters (`session.*` and
+/// `session.<stream>.*`) together with the repair they counted, and the
+/// `tcp.wire_{tx,rx}_bytes` gauges, so the bump is not additive and older
+/// documents are rejected.
+pub const METRICS_SCHEMA_VERSION: u64 = 5;
 
 /// A counter handle: increments are one relaxed atomic add. Cheap to clone.
 #[derive(Debug, Clone, Default)]
@@ -183,9 +184,7 @@ impl MetricsSnapshot {
             .get("metrics_version")
             .and_then(Json::as_u64)
             .ok_or("metrics.json: missing metrics_version")?;
-        // Every schema bump so far is additive, so any version up to the
-        // current one parses with the same structure.
-        if version == 0 || version > METRICS_SCHEMA_VERSION {
+        if version != METRICS_SCHEMA_VERSION {
             return Err(format!("metrics.json: unsupported schema version {version}"));
         }
         let mut snap = MetricsSnapshot::default();
@@ -490,8 +489,8 @@ mod tests {
     #[test]
     fn snapshot_json_roundtrip() {
         let m = MetricsRegistry::new();
-        m.add("session.retransmits", 7);
-        m.gauge_set("tcp.wire_tx_bytes", 1234.0);
+        m.add("server.sessions_admitted", 7);
+        m.gauge_set("server.inflight", 1234.0);
         m.observe_with("ot.batch_slots", &Histogram::exponential(1.0, 4.0, 8), 20.0);
         let snap = m.snapshot();
         let doc = snap.to_json();
@@ -504,48 +503,26 @@ mod tests {
     }
 
     #[test]
-    fn older_schema_versions_still_parse() {
-        let v1 = r#"{"metrics_version": 1, "counters": {"session.retransmits": 7}}"#;
-        let doc = crate::json::Json::parse(v1).unwrap();
-        let snap = MetricsSnapshot::from_json(&doc).expect("v1 is forward-parseable");
-        assert_eq!(snap.counters["session.retransmits"], 7);
-        // A v2 document (dealer family) parses under the v3 schema too.
-        let v2 = r#"{"metrics_version": 2,
-                     "counters": {"dealer.hits": 3, "dealer.misses": 1},
-                     "gauges": {"dealer.queue_depth.conv1": 8.0}}"#;
-        let doc = crate::json::Json::parse(v2).unwrap();
-        let snap = MetricsSnapshot::from_json(&doc).expect("v2 is forward-parseable");
-        assert_eq!(snap.counters["dealer.hits"], 3);
-        assert!((snap.gauges["dealer.queue_depth.conv1"] - 8.0).abs() < f64::EPSILON);
-        // A v3 document (multi-tenant server family) parses under v4.
-        let v3 = r#"{"metrics_version": 3,
-                     "counters": {"server.sessions_admitted": 5, "server.sessions_reaped": 1,
-                                  "session.7.retransmits": 2},
-                     "gauges": {"server.sessions_active": 2.0, "server.drain_ms": 12.5}}"#;
-        let doc = crate::json::Json::parse(v3).unwrap();
-        let snap = MetricsSnapshot::from_json(&doc).expect("v3 is forward-parseable");
-        assert_eq!(snap.counters["server.sessions_admitted"], 5);
-        assert_eq!(snap.counters["session.7.retransmits"], 2);
-        // A v4 document (live-telemetry family) parses — the committed
-        // fixture for the current schema, covering each new metric kind.
-        let v4 = r#"{"metrics_version": 4,
-                     "counters": {"dealer.starved_ms": 17, "server.slo_violations": 1},
+    fn current_schema_fixture_parses_and_other_versions_are_rejected() {
+        // The committed fixture for the current schema, covering each
+        // metric kind.
+        let v5 = r#"{"metrics_version": 5,
+                     "counters": {"dealer.starved_ms": 17, "server.sessions_admitted": 5},
                      "gauges": {"server.inflight": 3.0, "server.slo.e2e.p99": 41.5},
                      "histograms": {"server.queue_wait_ms":
                        {"bounds": [0.25, 0.5, 1.0], "counts": [4, 1, 0, 2],
                         "sum": 9.75, "count": 7}}}"#;
-        let doc = crate::json::Json::parse(v4).unwrap();
-        let snap = MetricsSnapshot::from_json(&doc).expect("v4 parses");
+        let doc = crate::json::Json::parse(v5).unwrap();
+        let snap = MetricsSnapshot::from_json(&doc).expect("v5 parses");
         assert_eq!(snap.counters["dealer.starved_ms"], 17);
-        assert_eq!(snap.counters["server.slo_violations"], 1);
+        assert_eq!(snap.counters["server.sessions_admitted"], 5);
         assert!((snap.gauges["server.slo.e2e.p99"] - 41.5).abs() < f64::EPSILON);
         assert_eq!(snap.histograms["server.queue_wait_ms"].counts, vec![4, 1, 0, 2]);
         assert_eq!(snap.histograms["server.queue_wait_ms"].count, 7);
-        let v9 = r#"{"metrics_version": 9, "counters": {}}"#;
-        let doc = crate::json::Json::parse(v9).unwrap();
-        assert!(MetricsSnapshot::from_json(&doc).is_err());
-        let v0 = r#"{"metrics_version": 0, "counters": {}}"#;
-        let doc = crate::json::Json::parse(v0).unwrap();
-        assert!(MetricsSnapshot::from_json(&doc).is_err());
+        for other in [0, 1, 4, 6, 9] {
+            let text = format!(r#"{{"metrics_version": {other}, "counters": {{}}}}"#);
+            let doc = crate::json::Json::parse(&text).unwrap();
+            assert!(MetricsSnapshot::from_json(&doc).is_err(), "version {other} accepted");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Streaming SLO latency tracking for the inference server.
 //!
-//! Three latency classes are tracked per server (schema v4):
+//! Three latency classes are tracked per server:
 //!
 //! | class       | histogram                 | measures                       |
 //! |-------------|---------------------------|--------------------------------|

@@ -634,7 +634,7 @@ impl Walker<'_> {
     /// Resolves a callee summary. Same-file definitions win, but only for
     /// calls that plausibly target this file's own impl — `self.f()`,
     /// `Self::f()`, or a bare `f()`. A method on a *foreign* receiver
-    /// (`conn.stream.shutdown()`, `self.link.reconnect()`) must not
+    /// (`conn.stream.shutdown()`, `self.link.recv()`) must not
     /// resolve to a same-named method on the enclosing type; those fall
     /// through to cross-file resolution, which requires the name to be
     /// workspace-unique and non-ambient.

@@ -164,6 +164,5 @@ mod tests {
         let server = acc.accept(Duration::from_secs(2)).unwrap();
         client.send(Bytes::from_static(b"ping")).unwrap();
         assert_eq!(&server.recv(Some(Duration::from_secs(2))).unwrap()[..], b"ping");
-        assert!(!server.supports_reconnect());
     }
 }

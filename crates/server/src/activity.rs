@@ -7,9 +7,9 @@ use std::time::{Duration, Instant};
 
 /// Wraps a transport and stamps a monotonic last-activity clock on every
 /// **successful receive** — evidence the peer is alive. Sends are
-/// deliberately not stamped: the session layer probes a silent peer with
-/// `Nak`s, and counting our own probes as activity would keep a
-/// black-holed client alive forever. The server's reaper reads the clock
+/// deliberately not stamped: our own traffic says nothing about whether
+/// the peer still answers, and counting it would keep a black-holed
+/// client alive. The server's reaper reads the clock
 /// to find idle (slow-loris) sessions; [`Self::close`] marks a
 /// reaper-initiated teardown so the session worker can attribute the
 /// resulting `Disconnected` to the deadline rather than to the client.
@@ -75,14 +75,6 @@ impl Transport for ActivityTransport {
         self.inner.shutdown();
     }
 
-    fn reconnect(&self) -> Result<(), TransportError> {
-        self.inner.reconnect()
-    }
-
-    fn supports_reconnect(&self) -> bool {
-        self.inner.supports_reconnect()
-    }
-
     fn descriptor(&self) -> String {
         format!("activity({})", self.inner.descriptor())
     }
@@ -99,8 +91,8 @@ mod tests {
         let a = ActivityTransport::new(Arc::new(a));
         std::thread::sleep(Duration::from_millis(20));
         assert!(a.idle_for() >= Duration::from_millis(10));
-        // Our own sends are NOT activity (they may be probes to a dead
-        // peer); only receiving from the peer resets the clock.
+        // Our own sends are NOT activity (the peer may be dead); only
+        // receiving from the peer resets the clock.
         a.send(Bytes::from_static(b"x")).unwrap();
         assert!(a.idle_for() >= Duration::from_millis(10));
         assert_eq!(&b.recv(Some(Duration::from_millis(50))).unwrap()[..], b"x");

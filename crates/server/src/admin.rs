@@ -5,11 +5,10 @@
 //! redirect, or `cargo xtask watch`:
 //!
 //! * `GET /metrics`  — Prometheus-style text exposition of the whole
-//!   [`aq2pnn_obs::MetricsRegistry`] (schema v4), with the
+//!   [`aq2pnn_obs::MetricsRegistry`] (the current schema), with the
 //!   `server.slo.*.p{50,90,99}` gauges recomputed on each scrape.
 //! * `GET /sessions` — one row per live session: stream ID, age, idle
-//!   time, link state and the reliability-layer
-//!   [`aq2pnn_transport::SessionTelemetry`] counters.
+//!   time and link state.
 //! * `GET /healthz`  — `ok`, `overloaded` (admission bound reached) or
 //!   `draining`, always with status 200 (the body is the verdict).
 //!
@@ -21,10 +20,11 @@
 //! being reachable off-host.
 //!
 //! Concurrency: the whole endpoint runs on one dedicated worker. Scrape
-//! bodies are rendered from snapshots (`MetricsRegistry::snapshot`, a
-//! clone of the `server.sessions` table) so no socket I/O ever happens
-//! under a lock, and no lock is ever held across another lock — the
-//! admin thread adds zero edges to the server's lock-class graph.
+//! bodies are rendered from snapshots (`MetricsRegistry::snapshot`, one
+//! scan of the `server.sessions` table under its leaf guard) so no socket
+//! I/O ever happens under a lock, and no lock is ever held across another
+//! lock — the admin thread adds zero edges to the server's lock-class
+//! graph.
 
 use crate::server::Inner;
 use aq2pnn_obs::render_text;
@@ -130,43 +130,18 @@ fn health_body(inner: &Arc<Inner>) -> String {
     format!("{verdict}\n")
 }
 
-/// The `/sessions` table. Slot data is cloned under the (leaf)
-/// `server.sessions` guard; telemetry reads happen after it drops.
+/// The `/sessions` table, rendered in one scan under the (leaf)
+/// `server.sessions` guard; nothing in the scan blocks.
 fn sessions_body(inner: &Arc<Inner>) -> String {
-    type Row = (u64, u64, u64, bool, Option<Arc<aq2pnn_transport::Session>>);
     let now = Instant::now();
-    let rows: Vec<Row> = {
-        let sessions = inner.sessions.lock();
-        sessions
-            .iter()
-            .map(|s| {
-                (
-                    s.stream,
-                    u64::try_from(now.duration_since(s.admitted_at).as_millis())
-                        .unwrap_or(u64::MAX),
-                    u64::try_from(s.link.idle_for().as_millis()).unwrap_or(u64::MAX),
-                    s.link.was_closed(),
-                    s.session.clone(),
-                )
-            })
-            .collect()
-    };
-    let mut out = String::from(
-        "stream age_ms idle_ms state retransmits reconnects naks corrupt duplicates gaps misrouted\n",
-    );
-    for (stream, age_ms, idle_ms, closed, session) in rows {
-        let state = if closed { "closing" } else { "open" };
-        let t = session.map(|s| s.telemetry()).unwrap_or_default();
-        out.push_str(&format!(
-            "{stream} {age_ms} {idle_ms} {state} {} {} {} {} {} {} {}\n",
-            t.retransmits,
-            t.reconnects,
-            t.naks_sent,
-            t.corrupt_frames,
-            t.duplicates,
-            t.gaps,
-            t.misrouted
-        ));
+    let sessions = inner.sessions.lock();
+    let mut out = String::from("stream age_ms idle_ms state\n");
+    for s in sessions.iter() {
+        let age_ms =
+            u64::try_from(now.duration_since(s.admitted_at).as_millis()).unwrap_or(u64::MAX);
+        let idle_ms = u64::try_from(s.link.idle_for().as_millis()).unwrap_or(u64::MAX);
+        let state = if s.link.was_closed() { "closing" } else { "open" };
+        out.push_str(&format!("{} {age_ms} {idle_ms} {state}\n", s.stream));
     }
     out
 }

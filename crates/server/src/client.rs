@@ -6,9 +6,7 @@ use aq2pnn::prepared::PreparedModel;
 use aq2pnn::{PartyContext, ProtocolConfig, ProtocolError};
 use aq2pnn_nn::quant::QuantModel;
 use aq2pnn_sharing::PartyId;
-use aq2pnn_transport::{
-    Endpoint, Frame, FrameKind, Session, SessionConfig, SessionTelemetry, Transport, TransportError,
-};
+use aq2pnn_transport::{Endpoint, Frame, FrameKind, Session, Transport, TransportError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,8 +19,6 @@ pub struct ClientConfig {
     pub q1_bits: u32,
     /// Images per batched online pass.
     pub batch: usize,
-    /// Reliability-layer configuration.
-    pub session: SessionConfig,
     /// How long to wait for the admission verdict. A shedding or dead
     /// server is a typed error within this bound — never a hang.
     pub admission_timeout: Duration,
@@ -37,7 +33,6 @@ impl Default for ClientConfig {
             model: "lenet5".into(),
             q1_bits: 16,
             batch: 1,
-            session: SessionConfig::default(),
             admission_timeout: Duration::from_secs(5),
             io_deadline: Duration::from_secs(60),
         }
@@ -59,7 +54,8 @@ pub enum ClientError {
     /// The server rejected the request header (unknown model, bad
     /// geometry, queue overflow) with this reason.
     Rejected(String),
-    /// The link failed (disconnect, timeout, corruption beyond repair).
+    /// The link failed (disconnect, timeout) or the server sent a frame a
+    /// correct peer never sends (corrupt, out of sequence).
     Transport(TransportError),
     /// The 2PC protocol failed after establishment.
     Protocol(String),
@@ -114,8 +110,6 @@ pub struct ClientRun {
     pub logits: Vec<Vec<i64>>,
     /// The stream ID the server assigned this session.
     pub stream: u64,
-    /// Reliability-layer repair counters for this session's link.
-    pub telemetry: SessionTelemetry,
     /// Application payload bytes this side sent + received.
     pub payload_bytes: u64,
     /// Wall-clock nanoseconds spent in the secure online passes (the
@@ -173,8 +167,8 @@ pub fn run_client(
         }
     };
 
-    // 2. Reliable session on the assigned stream + request header.
-    let session = Arc::new(Session::with_stream(Arc::clone(&link), cfg.session, stream));
+    // 2. Session on the assigned stream + request header.
+    let session = Arc::new(Session::with_stream(Arc::clone(&link), stream));
     let req = InferenceRequest {
         model: cfg.model.clone(),
         q1_bits: cfg.q1_bits,
@@ -201,16 +195,5 @@ pub fn run_client(
     }
     #[allow(clippy::cast_possible_truncation)] // u64 ns ≈ 584 years
     let online_ns = online_started.elapsed().as_nanos() as u64;
-    // Graceful goodbye: we have our logits, but over a lossy link the
-    // server may still be waiting on a dropped tail frame only we can
-    // retransmit. Flush until the server acked everything (or its side of
-    // the link is gone — best-effort, the answer is already in hand).
-    let _ = session.flush(cfg.io_deadline.min(Duration::from_secs(5)));
-    Ok(ClientRun {
-        logits,
-        stream,
-        telemetry: session.telemetry(),
-        payload_bytes: ctx.ep.stats().total_bytes(),
-        online_ns,
-    })
+    Ok(ClientRun { logits, stream, payload_bytes: ctx.ep.stats().total_bytes(), online_ns })
 }

@@ -27,14 +27,15 @@
 //!   stalled session (slow-loris, black-holed peer, wedged client).
 //! * **Fault isolation** — a client that disconnects mid-inference, sends
 //!   garbage, or stalls is torn down and its dealer lanes reclaimed while
-//!   every other session completes bit-identically; per-stream session
-//!   metrics (`session.<id>.*`) keep the blast radius observable.
+//!   every other session completes bit-identically. A peer that sends a
+//!   frame a correct peer never sends (corrupt, replayed, out of sequence,
+//!   another stream's) fails its own session with a typed error.
 //! * **Graceful drain** — shutdown sheds new admissions, waits for
 //!   in-flight sessions up to a drain budget, then force-closes stragglers
 //!   and reports which of the two happened ([`DrainReport`]).
 //! * **Live telemetry** — an optional loopback-only admin endpoint
-//!   ([`InferenceServer::start_admin`]) serves `/metrics` (schema-v4 text
-//!   exposition with SLO quantile gauges), `/sessions` and `/healthz`
+//!   ([`InferenceServer::start_admin`]) serves `/metrics` (text exposition
+//!   with SLO quantile gauges), `/sessions` and `/healthz`
 //!   while the server runs; every session carries a bounded
 //!   [`aq2pnn_obs::FlightRecorder`] that is dumped as
 //!   `flightrec-<stream>.json` when the session faults or is reaped.

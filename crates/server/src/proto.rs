@@ -11,10 +11,11 @@
 //!                  | Shed   (stream 0)                  overload / draining
 //! ```
 //!
-//! Both frames use the v2 wire format, so a v1 peer is rejected with
-//! [`TransportError::VersionMismatch`] before any state is allocated.
+//! Both frames use the current (v3) wire format, so an older peer is
+//! rejected with [`TransportError::VersionMismatch`] before any state is
+//! allocated.
 //! After admission both sides construct `Session::with_stream(<id>)` and
-//! all further traffic is reliable and stream-stamped.
+//! all further traffic is stream-stamped and sequence-checked.
 //!
 //! # Request header (first message on the established session)
 //!

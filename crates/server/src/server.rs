@@ -28,9 +28,7 @@ use aq2pnn_obs::{
 use aq2pnn_parallel::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 use aq2pnn_parallel::Worker;
 use aq2pnn_sharing::PartyId;
-use aq2pnn_transport::{
-    Endpoint, Frame, FrameKind, Session, SessionConfig, Transport, TransportError,
-};
+use aq2pnn_transport::{Endpoint, Frame, FrameKind, Session, Transport, TransportError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,8 +58,6 @@ pub struct ServerConfig {
     /// Graceful-drain budget: how long [`InferenceServer::drain`] waits
     /// for in-flight sessions before force-closing them.
     pub drain_timeout: Duration,
-    /// Reliability-layer configuration for every per-client session.
-    pub session: SessionConfig,
     /// Background offline dealer, shared across sessions through one
     /// [`DealerHub`]; `None` generates triples inline on the online path.
     pub dealer: Option<DealerConfig>,
@@ -90,7 +86,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(60),
             reap_interval: Duration::from_millis(25),
             drain_timeout: Duration::from_secs(10),
-            session: SessionConfig::default(),
             dealer: None,
             slo_ms: None,
             flightrec_dir: None,
@@ -105,7 +100,8 @@ impl Default for ServerConfig {
 pub struct ServerObs {
     /// Span/progress sink shared by all sessions.
     pub tracer: Tracer,
-    /// Metric registry: `server.*` counters plus per-stream `session.<id>.*`.
+    /// Metric registry: the `server.*` family and whatever the sessions'
+    /// protocol layers record.
     pub metrics: MetricsRegistry,
 }
 
@@ -155,10 +151,6 @@ pub(crate) struct SessionSlot {
     /// The session's flight recorder (disabled unless
     /// `cfg.flightrec_dir` is set). Shared with the session worker.
     pub(crate) recorder: FlightRecorder,
-    /// The reliability session, published once the worker builds it so
-    /// the admin `/sessions` view can read live telemetry. Written and
-    /// read only under the `server.sessions` guard.
-    pub(crate) session: Option<Arc<Session>>,
 }
 
 struct SessionWorker {
@@ -453,7 +445,6 @@ fn admit(inner: &Arc<Inner>, link: Arc<dyn Transport>) {
             link: Arc::clone(&activity),
             admitted_at,
             recorder: recorder.clone(),
-            session: None,
         });
     }
     let worker = Worker::spawn("aq2pnn-session");
@@ -554,16 +545,6 @@ fn dump_flightrec(
     }
 }
 
-/// Publishes the session's reliability layer into its slot so the admin
-/// `/sessions` view can read live telemetry. Leaf `server.sessions`
-/// guard, held only for the scan-and-assign.
-fn publish_session(inner: &Inner, stream: u64, session: &Arc<Session>) {
-    let mut sessions = inner.sessions.lock();
-    if let Some(slot) = sessions.iter_mut().find(|s| s.stream == stream) {
-        slot.session = Some(Arc::clone(session));
-    }
-}
-
 /// RAII serve-slot permit: released on every exit path.
 struct RunPermit<'a>(&'a AtomicUsize);
 
@@ -617,11 +598,8 @@ fn serve_session(
     link.send(Frame::control(FrameKind::Hello, stream, 0).encode().into()).map_err(adm)?;
     rec.event("hello", "lifecycle", &[]);
 
-    // 2. Reliable session (stream-stamped frames) + request header.
-    let session =
-        Arc::new(Session::with_stream(Arc::clone(link) as Arc<dyn Transport>, cfg.session, stream));
-    session.attach_metrics(&inner.metrics);
-    publish_session(inner, stream, &session);
+    // 2. Session (stream-stamped, sequence-checked frames) + request header.
+    let session = Arc::new(Session::with_stream(Arc::clone(link) as Arc<dyn Transport>, stream));
     let req_bytes = session.recv(Some(cfg.admission_timeout)).map_err(adm)?;
     let req = InferenceRequest::decode(&req_bytes).map_err(adm)?;
     let verdict = req.validate().and_then(|()| {

@@ -2,10 +2,10 @@
 //! over any [`Transport`].
 //!
 //! An `Endpoint` counts **application payload bytes** — the quantity the
-//! paper's tables report and the INST-Q compiler predicts. Session framing,
-//! retransmissions and control traffic live *below* this layer (see
+//! paper's tables report and the INST-Q compiler predicts. Session framing
+//! and TCP length prefixes live *below* this layer (see
 //! [`crate::Session`]), so `compiled bytes == measured bytes` holds over a
-//! lossy TCP link exactly as it does in-process.
+//! TCP link exactly as it does in-process.
 
 use crate::transport::{mem_pair, Transport};
 use crate::{pack_bits, packed_len, unpack_bits, ChannelStats, TransportError};
@@ -166,9 +166,7 @@ impl Endpoint {
     /// # Errors
     ///
     /// Returns [`TransportError::Disconnected`] if the peer dropped, or any
-    /// error surfaced by the underlying link (e.g.
-    /// [`TransportError::RetriesExhausted`] from a session that could not
-    /// repair a fault).
+    /// error surfaced by the underlying link.
     pub fn send(&self, bytes: Bytes) -> Result<(), TransportError> {
         // Deliver first, account after: a failed send reached neither the
         // wire nor the eavesdropper, so it must not move counters, flip the

@@ -9,7 +9,7 @@ use std::fmt;
 /// [`Disconnected`](TransportError::Disconnected); the fallible transports
 /// ([`crate::TcpTransport`], [`crate::Session`], [`crate::FaultyTransport`])
 /// use the full set. Every protocol layer above propagates these as
-/// `Result` — a dropped frame must never panic a party.
+/// `Result` — a failed link must never panic a party.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
     /// The other endpoint disconnected (dropped, or the underlying link
@@ -17,26 +17,23 @@ pub enum TransportError {
     Disconnected,
     /// A receive deadline expired before a message arrived.
     Timeout,
-    /// A frame failed validation (bad magic, length, or checksum). The
-    /// string describes what was malformed — it derives from frame
-    /// *metadata*, never from payload contents.
+    /// A frame failed validation (bad magic, kind, length, checksum, or a
+    /// foreign stream ID). The string describes what was malformed — it
+    /// derives from frame *metadata*, never from payload contents.
     Corrupt(String),
-    /// The session saw a sequence number it cannot reconcile: the peer
-    /// requested (or delivered) a position outside the replay window.
+    /// The session received a Data frame out of sequence: a replayed or a
+    /// skipped `seq`, which a correct peer over TCP never sends.
     SequenceGap {
         /// The sequence number this side expected next.
         expected: u64,
         /// The sequence number actually observed.
         got: u64,
     },
-    /// Recovery gave up: reconnect attempts or receive probes hit their
-    /// configured cap without the link coming back.
-    RetriesExhausted(String),
     /// An OS-level I/O failure that is not a clean disconnect or timeout.
     Io(String),
-    /// The peer speaks a different frame-format version (e.g. a
-    /// pre-stream-ID v1 peer talking to a v2 endpoint). Terminal: the two
-    /// sides cannot even agree on header layout, so no recovery applies.
+    /// The peer speaks a different frame-format version (e.g. a version-2
+    /// peer that still expects acks). Terminal: the two sides do not speak
+    /// the same protocol.
     VersionMismatch {
         /// The frame version this side encodes.
         ours: u8,
@@ -57,10 +54,7 @@ impl fmt::Display for TransportError {
             TransportError::Timeout => write!(f, "receive deadline expired"),
             TransportError::Corrupt(what) => write!(f, "corrupt frame: {what}"),
             TransportError::SequenceGap { expected, got } => {
-                write!(f, "unreconcilable sequence gap: expected {expected}, got {got}")
-            }
-            TransportError::RetriesExhausted(what) => {
-                write!(f, "retries exhausted: {what}")
+                write!(f, "out-of-sequence frame: expected {expected}, got {got}")
             }
             TransportError::Io(what) => write!(f, "transport i/o failure: {what}"),
             TransportError::VersionMismatch { ours, theirs } => {
@@ -72,18 +66,6 @@ impl fmt::Display for TransportError {
 }
 
 impl Error for TransportError {}
-
-impl TransportError {
-    /// True for errors the session layer can try to recover from by
-    /// re-requesting or reconnecting (as opposed to giving up).
-    #[must_use]
-    pub fn is_recoverable(&self) -> bool {
-        matches!(
-            self,
-            TransportError::Disconnected | TransportError::Timeout | TransportError::Corrupt(_)
-        )
-    }
-}
 
 impl From<std::io::Error> for TransportError {
     fn from(e: std::io::Error) -> Self {
@@ -119,15 +101,5 @@ mod tests {
             TransportError::from(Error::new(ErrorKind::PermissionDenied, "d")),
             TransportError::Io(_)
         ));
-    }
-
-    #[test]
-    fn recoverability() {
-        assert!(TransportError::Timeout.is_recoverable());
-        assert!(TransportError::Disconnected.is_recoverable());
-        assert!(!TransportError::RetriesExhausted("dead".into()).is_recoverable());
-        assert!(!TransportError::SequenceGap { expected: 4, got: 9 }.is_recoverable());
-        assert!(!TransportError::VersionMismatch { ours: 2, theirs: 1 }.is_recoverable());
-        assert!(!TransportError::Shed.is_recoverable());
     }
 }

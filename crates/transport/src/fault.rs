@@ -1,62 +1,58 @@
 //! Deterministic fault injection: wrap any [`Transport`] and make it
 //! misbehave on a seeded, reproducible schedule.
 //!
-//! [`FaultyTransport`] sits *between* a [`crate::Session`] and its link —
-//! the session sees drops, delays, duplicates, corruption and disconnects
-//! exactly as a real flaky network would produce them, and must repair
-//! every one. Fault decisions are pure functions of `(seed, direction,
-//! frame index)` via splitmix64, so a failing schedule replays identically
-//! from its seed: every CI failure is reproducible locally.
+//! [`FaultyTransport`] injects the faults a TCP link can show userspace:
+//! a late frame and a torn-down connection. (TCP never delivers a
+//! dropped, duplicated or bit-flipped frame, so there is nothing of that
+//! kind to inject.) Fault decisions are pure functions of `(seed, frame
+//! index)` via splitmix64, so a failing schedule replays identically from
+//! its seed: every CI failure is reproducible locally.
 //!
-//! Faults act on the **sender side** of a frame: a "dropped" frame is
-//! simply never forwarded, a "corrupted" one has a pseudorandomly chosen
-//! bit flipped, a "disconnect" tears the underlying link down (both
-//! parties observe it, like a cable pull).
+//! Faults act on the **sender side** of a frame: a "delayed" frame is
+//! forwarded after a sleep, a "disconnect" tears the underlying link down
+//! (both parties observe it, like a cable pull).
 
-use crate::session::splitmix64;
 use crate::transport::Transport;
 use crate::TransportError;
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// splitmix64: deterministic fault-schedule hashing.
+#[must_use]
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
 
 /// What happens to one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Forward unchanged.
     Pass,
-    /// Never forward.
-    Drop,
-    /// Forward twice.
-    Duplicate,
-    /// Flip one pseudorandomly chosen bit, then forward.
-    Corrupt,
     /// Sleep, then forward.
     Delay,
     /// Tear the link down (then report `Disconnected`).
     Disconnect,
 }
 
-/// A seeded fault schedule: per-mille rates for each fault class plus
-/// explicit disconnect points.
+/// A seeded fault schedule: a per-mille delay rate plus explicit
+/// disconnect points.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Seed for all pseudorandom decisions.
     pub seed: u64,
-    /// Out of 1000 sent frames, how many are dropped.
-    pub drop_per_mille: u16,
-    /// … duplicated.
-    pub duplicate_per_mille: u16,
-    /// … corrupted (one bit flip).
-    pub corrupt_per_mille: u16,
-    /// … delayed by [`FaultPlan::delay`].
+    /// Out of 1000 sent frames, how many are delayed by
+    /// [`FaultPlan::delay`].
     pub delay_per_mille: u16,
     /// Sleep applied to delayed frames.
     pub delay: Duration,
     /// Outgoing frame indices at which the link is torn down
-    /// ("disconnect at frame N"). Recovery requires the wrapped transport
-    /// to support reconnection.
+    /// ("disconnect at frame N"). The session on top fails with a typed
+    /// error; nothing reconnects.
     pub disconnect_at: Vec<u64>,
 }
 
@@ -67,20 +63,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// A mixed lossy link: some of everything except disconnects.
-    #[must_use]
-    pub fn lossy(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            drop_per_mille: 20,
-            duplicate_per_mille: 20,
-            corrupt_per_mille: 20,
-            delay_per_mille: 10,
-            delay: Duration::from_millis(2),
-            disconnect_at: Vec::new(),
-        }
-    }
-
     /// The deterministic action for outgoing frame number `index`.
     #[must_use]
     pub fn action(&self, index: u64) -> FaultAction {
@@ -88,20 +70,7 @@ impl FaultPlan {
             return FaultAction::Disconnect;
         }
         let roll = splitmix64(self.seed ^ (index.wrapping_mul(0x9E37_79B9))) % 1000;
-        let mut edge = u64::from(self.drop_per_mille);
-        if roll < edge {
-            return FaultAction::Drop;
-        }
-        edge += u64::from(self.duplicate_per_mille);
-        if roll < edge {
-            return FaultAction::Duplicate;
-        }
-        edge += u64::from(self.corrupt_per_mille);
-        if roll < edge {
-            return FaultAction::Corrupt;
-        }
-        edge += u64::from(self.delay_per_mille);
-        if roll < edge {
+        if roll < u64::from(self.delay_per_mille) {
             return FaultAction::Delay;
         }
         FaultAction::Pass
@@ -111,12 +80,6 @@ impl FaultPlan {
 /// Count of injected faults, by class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Frames silently dropped.
-    pub dropped: u64,
-    /// Frames forwarded twice.
-    pub duplicated: u64,
-    /// Frames forwarded with a flipped bit.
-    pub corrupted: u64,
     /// Frames forwarded late.
     pub delayed: u64,
     /// Link teardowns.
@@ -128,7 +91,8 @@ pub struct FaultyTransport {
     inner: Arc<dyn Transport>,
     plan: FaultPlan,
     sent: AtomicU64,
-    stats: Mutex<FaultStats>,
+    delayed: AtomicU64,
+    disconnects: AtomicU64,
 }
 
 impl FaultyTransport {
@@ -139,17 +103,17 @@ impl FaultyTransport {
             inner,
             plan,
             sent: AtomicU64::new(0),
-            stats: Mutex::new(FaultStats::default()),
+            delayed: AtomicU64::new(0),
+            disconnects: AtomicU64::new(0),
         }
     }
 
     /// Faults injected so far.
     pub fn stats(&self) -> FaultStats {
-        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn bump(&self, f: impl FnOnce(&mut FaultStats)) {
-        f(&mut self.stats.lock().unwrap_or_else(PoisonError::into_inner));
+        FaultStats {
+            delayed: self.delayed.load(Ordering::SeqCst),
+            disconnects: self.disconnects.load(Ordering::SeqCst),
+        }
     }
 }
 
@@ -158,31 +122,13 @@ impl Transport for FaultyTransport {
         let index = self.sent.fetch_add(1, Ordering::SeqCst);
         match self.plan.action(index) {
             FaultAction::Pass => self.inner.send(bytes),
-            FaultAction::Drop => {
-                self.bump(|s| s.dropped += 1);
-                Ok(())
-            }
-            FaultAction::Duplicate => {
-                self.bump(|s| s.duplicated += 1);
-                self.inner.send(bytes.clone())?;
-                self.inner.send(bytes)
-            }
-            FaultAction::Corrupt => {
-                self.bump(|s| s.corrupted += 1);
-                let mut mutated = bytes.to_vec();
-                if !mutated.is_empty() {
-                    let bit = splitmix64(self.plan.seed ^ !index) as usize % (mutated.len() * 8);
-                    mutated[bit / 8] ^= 1 << (bit % 8);
-                }
-                self.inner.send(Bytes::from(mutated))
-            }
             FaultAction::Delay => {
-                self.bump(|s| s.delayed += 1);
+                self.delayed.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(self.plan.delay);
                 self.inner.send(bytes)
             }
             FaultAction::Disconnect => {
-                self.bump(|s| s.disconnects += 1);
+                self.disconnects.fetch_add(1, Ordering::SeqCst);
                 self.inner.shutdown();
                 Err(TransportError::Disconnected)
             }
@@ -197,14 +143,6 @@ impl Transport for FaultyTransport {
         self.inner.shutdown();
     }
 
-    fn reconnect(&self) -> Result<(), TransportError> {
-        self.inner.reconnect()
-    }
-
-    fn supports_reconnect(&self) -> bool {
-        self.inner.supports_reconnect()
-    }
-
     fn descriptor(&self) -> String {
         format!("faulty(seed={}, {})", self.plan.seed, self.inner.descriptor())
     }
@@ -216,12 +154,18 @@ mod tests {
     use crate::transport::mem_pair;
 
     #[test]
+    fn splitmix_is_deterministic_and_spread() {
+        assert_eq!(splitmix64(42), splitmix64(42));
+        assert_ne!(splitmix64(1), splitmix64(2));
+    }
+
+    #[test]
     fn schedule_is_deterministic() {
-        let plan = FaultPlan::lossy(7);
+        let plan = FaultPlan { seed: 7, delay_per_mille: 50, ..FaultPlan::clean() };
         let first: Vec<FaultAction> = (0..256).map(|i| plan.action(i)).collect();
         let second: Vec<FaultAction> = (0..256).map(|i| plan.action(i)).collect();
         assert_eq!(first, second);
-        assert!(first.iter().any(|a| *a != FaultAction::Pass), "lossy plan never fired");
+        assert!(first.contains(&FaultAction::Delay), "delay plan never fired");
         assert!(first.iter().filter(|a| **a == FaultAction::Pass).count() > 200);
     }
 
@@ -233,26 +177,16 @@ mod tests {
     }
 
     #[test]
-    fn drop_swallows_frame() {
+    fn delay_forwards_the_frame_late() {
         let (a, b) = mem_pair();
-        // drop everything
-        let plan = FaultPlan { drop_per_mille: 1000, ..FaultPlan::clean() };
+        let delay = Duration::from_millis(20);
+        let plan = FaultPlan { delay_per_mille: 1000, delay, ..FaultPlan::clean() };
         let faulty = FaultyTransport::new(Arc::new(a), plan);
+        let started = std::time::Instant::now();
         faulty.send(Bytes::from(vec![1, 2, 3])).unwrap();
-        assert_eq!(b.recv(Some(Duration::from_millis(10))), Err(TransportError::Timeout));
-        assert_eq!(faulty.stats().dropped, 1);
-    }
-
-    #[test]
-    fn corrupt_flips_exactly_one_bit() {
-        let (a, b) = mem_pair();
-        let plan = FaultPlan { corrupt_per_mille: 1000, ..FaultPlan::clean() };
-        let faulty = FaultyTransport::new(Arc::new(a), plan);
-        let original = vec![0u8; 32];
-        faulty.send(Bytes::from(original.clone())).unwrap();
-        let got = b.recv(None).unwrap();
-        let flipped: u32 = got.iter().zip(&original).map(|(a, b)| (a ^ b).count_ones()).sum();
-        assert_eq!(flipped, 1);
+        assert!(started.elapsed() >= delay);
+        assert_eq!(&b.recv(Some(Duration::from_millis(10))).unwrap()[..], &[1, 2, 3]);
+        assert_eq!(faulty.stats(), FaultStats { delayed: 1, disconnects: 0 });
     }
 
     #[test]

@@ -1,40 +1,38 @@
 //! The session frame format: length-prefixed, sequence-numbered,
 //! checksummed, stream-tagged.
 //!
-//! Every message the [`crate::Session`] reliability layer puts on a link is
-//! one frame:
+//! Every message the [`crate::Session`] layer puts on a link is one frame:
 //!
 //! ```text
 //! offset  size  field
 //!      0     2  magic 0xA2 0x2F
-//!      2     1  format version (currently 2)
-//!      3     1  kind (Data/Ack/Nak/Hello/Ping/Shed)
+//!      2     1  format version (currently 3)
+//!      3     1  kind (Data = 0, Hello = 3, Shed = 5)
 //!      4     8  stream (LE) — session/stream ID for server-side demux
 //!     12     8  seq    (LE) — Data: this frame's sequence number
-//!     20     8  ack    (LE) — cumulative: next seq the sender expects
+//!     20     8  ack    (LE) — reserved, written as 0
 //!     28     4  payload length (LE)
 //!     32     4  CRC-32 (IEEE) over header[0..32] ++ payload
 //!     36     …  payload
 //! ```
 //!
 //! The sequence number counts **Data** frames only; control frames carry
-//! `seq = 0`. `ack` is cumulative on every frame, so any traffic — data,
-//! probes, retransmission requests — lets the peer prune its replay
-//! buffer. The CRC turns link-level corruption into a typed
+//! `seq = 0`, except the admission `Hello` reply, which carries the
+//! assigned stream ID there. The CRC turns a mangled frame into a typed
 //! [`TransportError::Corrupt`] instead of protocol desynchronization.
 //!
-//! Version 2 (this PR) inserted the `stream` field so a multi-tenant
-//! server can multiplex many client sessions over one frame vocabulary:
-//! a point-to-point session uses stream 0, a server-admitted session uses
-//! the ID the server's Hello reply assigned. Decoding a version-1 frame
-//! (or any other version) yields the typed
-//! [`TransportError::VersionMismatch`] so old peers fail fast instead of
-//! desynchronizing. The `Shed` kind is the server's typed overload reply:
-//! "not admitted, go away" — carrying the refusal in-band means an
-//! overloaded server never answers with a hang.
+//! Version 3 keeps version 2's layout byte for byte. Version 2 carried a
+//! cumulative ack in the `ack` field and Ack, Nak and Ping kinds (bytes
+//! 1, 2 and 4) for in-session repair; version 3 has none of them, so a
+//! version-2 peer, which would wait for acks, gets the typed
+//! [`TransportError::VersionMismatch`] instead of a hang. The same holds
+//! for version 1 (a 28-byte header without the stream field). The `Shed`
+//! kind is the server's typed overload reply: "not admitted, go away";
+//! carrying the refusal in-band means an overloaded server never answers
+//! with a hang.
 //!
 //! Frame *payloads* are secret carriers (shares, masked openings, OT
-//! ciphertexts). Header metadata — kind, stream, seq, ack, length — is
+//! ciphertexts). Header metadata — kind, stream, seq, length — is
 //! observable by design and must therefore never depend on secrets; see
 //! DESIGN.md §9.
 
@@ -48,24 +46,16 @@ pub const FRAME_HEADER_LEN: usize = 36;
 pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 
 const MAGIC: [u8; 2] = [0xA2, 0x2F];
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 
 /// What a frame means to the session layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// Application payload at sequence number `seq`.
     Data,
-    /// Pure cumulative acknowledgement (no payload).
-    Ack,
-    /// Retransmission request: "resend everything from `ack`".
-    Nak,
-    /// Reconnect handshake: advertises both counters so the two sides can
-    /// resynchronize after a disconnect. Also the admission handshake: a
-    /// client's first Hello carries stream 0, the server's reply carries
-    /// the assigned stream ID in `seq`.
+    /// The admission handshake: a client's first Hello carries stream 0,
+    /// the server's reply carries the assigned stream ID in `seq`.
     Hello,
-    /// Ack solicitation, sent when the replay buffer is under pressure.
-    Ping,
     /// Typed overload refusal: the server is over its admission bound and
     /// will not serve this connection. Receiving one is terminal for the
     /// session ([`TransportError::Shed`]).
@@ -76,10 +66,7 @@ impl FrameKind {
     fn to_byte(self) -> u8 {
         match self {
             FrameKind::Data => 0,
-            FrameKind::Ack => 1,
-            FrameKind::Nak => 2,
             FrameKind::Hello => 3,
-            FrameKind::Ping => 4,
             FrameKind::Shed => 5,
         }
     }
@@ -87,10 +74,7 @@ impl FrameKind {
     fn from_byte(b: u8) -> Option<Self> {
         Some(match b {
             0 => FrameKind::Data,
-            1 => FrameKind::Ack,
-            2 => FrameKind::Nak,
             3 => FrameKind::Hello,
-            4 => FrameKind::Ping,
             5 => FrameKind::Shed,
             _ => return None,
         })
@@ -103,15 +87,12 @@ pub struct Frame {
     /// Frame kind.
     pub kind: FrameKind,
     /// Session/stream ID. 0 for point-to-point links; server-admitted
-    /// sessions stamp every frame with the ID assigned at admission so the
-    /// demux can route (and count misrouted frames).
+    /// sessions stamp every frame with the ID assigned at admission.
     pub stream: u64,
-    /// Data sequence number (0 for control frames, except `Hello` which
-    /// carries the sender's `next_send_seq` — or, in an admission reply,
-    /// the assigned stream ID).
+    /// Data sequence number (0 for control frames, except the admission
+    /// `Hello` reply, which carries the assigned stream ID).
     pub seq: u64,
-    /// Cumulative acknowledgement: the next sequence number the frame's
-    /// sender expects to receive.
+    /// Reserved (version 2's cumulative ack); sessions write 0.
     pub ack: u64,
     /// Application payload (empty for control frames).
     pub payload: Vec<u8>,
@@ -126,8 +107,8 @@ impl Frame {
 
     /// Builds a data frame (stream 0).
     #[must_use]
-    pub fn data(seq: u64, ack: u64, payload: Vec<u8>) -> Self {
-        Frame { kind: FrameKind::Data, stream: 0, seq, ack, payload }
+    pub fn data(seq: u64, payload: Vec<u8>) -> Self {
+        Frame { kind: FrameKind::Data, stream: 0, seq, ack: 0, payload }
     }
 
     /// Returns the frame re-stamped onto `stream`.
@@ -161,7 +142,7 @@ impl Frame {
     /// # Errors
     ///
     /// [`TransportError::VersionMismatch`] when the version byte is not
-    /// ours (e.g. a pre-stream-ID peer); [`TransportError::Corrupt`] when
+    /// ours (e.g. a version-2 peer that still expects acks); [`TransportError::Corrupt`] when
     /// the magic, kind, length or checksum is wrong. The error text names
     /// the malformed *field*; it never echoes payload bytes.
     pub fn decode(bytes: &[u8]) -> Result<Frame, TransportError> {
@@ -269,9 +250,9 @@ mod tests {
 
     #[test]
     fn roundtrip_data_and_control() {
-        let d = Frame::data(42, 17, vec![1, 2, 3, 250]);
+        let d = Frame::data(42, vec![1, 2, 3, 250]);
         assert_eq!(Frame::decode(&d.encode()).unwrap(), d);
-        let c = Frame::control(FrameKind::Nak, 0, 99);
+        let c = Frame::control(FrameKind::Hello, 9, 0);
         assert_eq!(Frame::decode(&c.encode()).unwrap(), c);
         let s = Frame::control(FrameKind::Shed, 0, 0);
         assert_eq!(Frame::decode(&s.encode()).unwrap(), s);
@@ -279,7 +260,7 @@ mod tests {
 
     #[test]
     fn stream_id_roundtrips() {
-        let d = Frame::data(5, 2, vec![7; 9]).on_stream(0xDEAD_BEEF_CAFE);
+        let d = Frame::data(5, vec![7; 9]).on_stream(0xDEAD_BEEF_CAFE);
         let back = Frame::decode(&d.encode()).unwrap();
         assert_eq!(back.stream, 0xDEAD_BEEF_CAFE);
         assert_eq!(back, d);
@@ -287,13 +268,13 @@ mod tests {
 
     #[test]
     fn empty_payload_roundtrip() {
-        let d = Frame::data(0, 0, Vec::new());
+        let d = Frame::data(0, Vec::new());
         assert_eq!(Frame::decode(&d.encode()).unwrap(), d);
     }
 
     #[test]
     fn every_single_byte_flip_is_detected() {
-        let encoded = Frame::data(7, 3, (0..64).collect()).on_stream(3).encode();
+        let encoded = Frame::data(7, (0..64).collect()).on_stream(3).encode();
         for i in 0..encoded.len() {
             for bit in 0..8 {
                 let mut bad = encoded.clone();
@@ -306,7 +287,7 @@ mod tests {
     #[test]
     fn version_one_peer_rejected_with_typed_error() {
         // A version-1 frame (28-byte header, no stream field) must decode
-        // to VersionMismatch, not be misparsed as v2 fields.
+        // to VersionMismatch, not be misparsed as current fields.
         let mut v1 = Vec::new();
         v1.extend_from_slice(&MAGIC);
         v1.push(1); // old version byte
@@ -323,12 +304,21 @@ mod tests {
         while v1.len() < FRAME_HEADER_LEN {
             v1.push(0);
         }
-        assert_eq!(Frame::decode(&v1), Err(TransportError::VersionMismatch { ours: 2, theirs: 1 }));
+        assert_eq!(Frame::decode(&v1), Err(TransportError::VersionMismatch { ours: 3, theirs: 1 }));
+    }
+
+    #[test]
+    fn version_two_peer_rejected_with_typed_error() {
+        // A version-2 frame has our layout, but its sender waits for acks
+        // this version never sends.
+        let mut v2 = Frame::data(0, vec![1]).encode();
+        v2[2] = 2;
+        assert_eq!(Frame::decode(&v2), Err(TransportError::VersionMismatch { ours: 3, theirs: 2 }));
     }
 
     #[test]
     fn truncation_and_padding_detected() {
-        let encoded = Frame::data(1, 1, vec![9; 16]).encode();
+        let encoded = Frame::data(1, vec![9; 16]).encode();
         assert!(Frame::decode(&encoded[..encoded.len() - 1]).is_err());
         let mut padded = encoded;
         padded.push(0);
@@ -338,7 +328,7 @@ mod tests {
 
     #[test]
     fn oversized_length_field_rejected_without_allocation() {
-        let mut encoded = Frame::data(1, 1, vec![0; 8]).encode();
+        let mut encoded = Frame::data(1, vec![0; 8]).encode();
         encoded[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(Frame::decode(&encoded), Err(TransportError::Corrupt(_))));
     }

@@ -18,23 +18,24 @@
 //! * [`NetworkModel`] converts (bytes, messages) into wall-clock seconds for
 //!   a given bandwidth/latency, defaulting to the paper's 1000 Mbps LAN.
 //!
-//! # Fault-tolerant transport stack
+//! # Transport stack
 //!
-//! Deployed two-party inference runs over real, fallible links. The stack
-//! (bottom to top):
+//! Deployed two-party inference runs over a real link. TCP is its one
+//! reliability mechanism; nothing above it repairs a link, and every
+//! failure is a typed error scoped to one session. The stack (bottom to
+//! top):
 //!
-//! * [`Transport`] — the pluggable raw link: [`MemTransport`] (in-process,
-//!   reliable) or [`TcpTransport`] (loopback/LAN, can drop mid-stream).
+//! * [`Transport`] — the pluggable raw link: [`MemTransport`] (in-process)
+//!   or [`TcpTransport`] (loopback/LAN, one connection per transport).
 //! * [`FaultyTransport`] — a deterministic fault-injection proxy driven by a
-//!   seeded [`FaultPlan`] (drop/delay/duplicate/corrupt/disconnect-at-N).
-//! * [`Session`] — the reliability layer: length-prefixed, sequence-numbered,
-//!   CRC-32-checksummed [`Frame`]s, cumulative acks with a bounded replay
-//!   buffer, Nak-based retransmission, and reconnect with capped
-//!   exponential backoff — so an inference survives a mid-protocol
-//!   disconnect and completes bit-identically.
+//!   seeded [`FaultPlan`] (delay and disconnect-at-N, the faults a TCP
+//!   link can show).
+//! * [`Session`] — stream-stamped, sequence-numbered, CRC-32-checksummed
+//!   [`Frame`]s. A corrupt, replayed, skipped or foreign frame is a typed
+//!   [`TransportError`], never a repair.
 //! * [`Endpoint`] — phase-labeled byte accounting over any of the above.
 //!   It counts application payloads only, so `compiled bytes == measured
-//!   bytes` holds regardless of retransmissions below.
+//!   bytes` holds whatever framing the layers below add.
 //!
 //! # Example
 //!
@@ -81,7 +82,7 @@ pub use network::{NetworkModel, SESSION_WIRE_FRAMING_BYTES};
 pub use packing::{
     pack_bits, pack_bits_reference, packed_len, unpack_bits, unpack_bits_at, unpack_bits_reference,
 };
-pub use session::{session_metric_name, Session, SessionConfig, SessionTelemetry};
+pub use session::{Session, SessionConfig};
 pub use stats::{ChannelStats, ChannelTotals, PhaseStats};
 pub use tcp::{TcpConfig, TcpTransport};
 pub use transport::{mem_pair, MemTransport, Transport};

@@ -20,9 +20,9 @@ pub struct NetworkModel {
     pub per_message_overhead_bytes: u64,
 }
 
-/// Per-message framing the fault-tolerant session stack itself adds on a
-/// real socket: the 28-byte session frame header plus the 4-byte TCP
-/// transport length prefix. Measured ground truth via
+/// Per-message framing the session stack itself adds on a real socket:
+/// the 36-byte session frame header plus the 4-byte TCP transport length
+/// prefix, 40 bytes. Measured ground truth via
 /// [`crate::TcpTransport::wire_bytes`]; see the `net_calibration` test and
 /// EXPERIMENTS.md ("NetworkModel calibration").
 pub const SESSION_WIRE_FRAMING_BYTES: u64 = (crate::FRAME_HEADER_LEN as u64) + 4;

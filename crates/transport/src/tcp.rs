@@ -1,18 +1,19 @@
 //! Real TCP transport (std, loopback-tested) with connect/read/write
-//! deadlines and explicit reconnect.
+//! deadlines.
 //!
 //! Wire format: each message is `[len: u32 LE][bytes]`. The transport is
-//! deliberately dumb — no sequencing, no integrity, no retransmission.
-//! Reliability across disconnects is the [`crate::Session`] layer's job;
-//! this type only (a) moves delimited messages over a socket, (b) turns
-//! socket failures into typed [`TransportError`]s, and (c) can tear down
-//! and re-establish the connection on request.
+//! deliberately dumb — no sequencing, no integrity, no retransmission of
+//! its own: TCP already delivers the byte stream in order and intact, and
+//! the [`crate::Session`] layer on top checks each frame. This type only
+//! (a) moves delimited messages over one socket and (b) turns socket
+//! failures into typed [`TransportError`]s.
 //!
-//! One side is the **listener** (binds, accepts, re-accepts after a drop),
-//! the other the **connector** (dials, re-dials). After a connection
-//! breaks, both sides return [`TransportError::Disconnected`] until
-//! [`Transport::reconnect`] succeeds — an intervening silent re-dial would
-//! lose frames without the session handshake noticing.
+//! A transport holds **one** connection for its whole life: dialed by
+//! [`TcpTransport::connect`], accepted once by [`TcpTransport::listen`]
+//! (lazily, on first use), or handed over by an external accept loop via
+//! [`TcpTransport::from_accepted`]. Once that connection breaks, every
+//! call returns [`TransportError::Disconnected`]. A client that wants
+//! another try dials a new transport and starts a new session.
 
 use crate::transport::Transport;
 use crate::TransportError;
@@ -54,16 +55,6 @@ impl Default for TcpConfig {
     }
 }
 
-enum Role {
-    Listener(TcpListener),
-    Connector(SocketAddr),
-    /// A socket handed over by an external accept loop (the multi-tenant
-    /// server's acceptor). There is nothing to re-establish: once the
-    /// connection breaks, it stays broken and the session above surfaces a
-    /// typed error instead of reconnecting.
-    Accepted,
-}
-
 /// An established connection plus the resumable read state for the frame
 /// in progress — a receive that hits its deadline mid-frame keeps the
 /// partial bytes and continues on the next call instead of desyncing the
@@ -78,52 +69,79 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn { stream, hdr: [0; 4], hdr_got: 0, body: Vec::new(), body_got: 0, have_len: false }
+    /// Applies `cfg`'s socket options to a fresh connection.
+    fn new(stream: TcpStream, cfg: &TcpConfig) -> Result<Self, TransportError> {
+        stream.set_nodelay(cfg.nodelay).map_err(TransportError::from)?;
+        stream.set_write_timeout(cfg.write_timeout).map_err(TransportError::from)?;
+        Ok(Conn { stream, hdr: [0; 4], hdr_got: 0, body: Vec::new(), body_got: 0, have_len: false })
     }
 }
 
-struct TcpState {
-    conn: Option<Conn>,
-    /// Set once a connection existed and then failed: send/recv refuse
-    /// with `Disconnected` until an explicit `reconnect`.
-    broken: bool,
+/// The life of a transport's one connection.
+enum Link {
+    /// Bound by [`TcpTransport::listen`]; the peer is accepted on first use.
+    Listening(TcpListener),
+    Open(Conn),
+    /// The connection failed or was shut down; it never comes back.
+    Closed,
 }
 
 /// A [`Transport`] over one `std::net::TcpStream`.
 pub struct TcpTransport {
-    role: Role,
     cfg: TcpConfig,
-    state: Mutex<TcpState>,
-    /// A `try_clone` of the current connection's socket, refreshed on
-    /// every (re)establish. [`Transport::shutdown`] closes it *without*
-    /// taking `state`: `recv`/`send` hold the state lock for the whole
-    /// blocking socket operation, so a shutdown that queued on that lock
-    /// would stall for the reader's full deadline instead of waking it.
-    /// Lock order: `state` before `shadow` (shadow is a leaf).
+    /// The bound address of a listening transport.
+    listen_addr: Option<SocketAddr>,
+    descriptor: String,
+    state: Mutex<Link>,
+    /// A `try_clone` of the connection's socket. [`Transport::shutdown`]
+    /// closes it *without* taking `state`: `recv`/`send` hold the state
+    /// lock for the whole blocking socket operation, so a shutdown that
+    /// queued on that lock would stall for the reader's full deadline
+    /// instead of waking it. Lock order: `state` before `shadow` (shadow
+    /// is a leaf).
     shadow: Mutex<Option<TcpStream>>,
     wire_sent: AtomicU64,
     wire_received: AtomicU64,
 }
 
 impl TcpTransport {
-    /// Binds `addr` and waits for the peer to dial (the accept itself
-    /// happens lazily on first use or [`Transport::reconnect`], so binding
-    /// never blocks).
+    fn with_link(
+        cfg: TcpConfig,
+        listen_addr: Option<SocketAddr>,
+        descriptor: String,
+        link: Link,
+    ) -> Self {
+        let shadow = match &link {
+            Link::Open(conn) => conn.stream.try_clone().ok(),
+            _ => None,
+        };
+        TcpTransport {
+            cfg,
+            listen_addr,
+            descriptor,
+            state: Mutex::new(link),
+            shadow: Mutex::new(shadow),
+            wire_sent: AtomicU64::new(0),
+            wire_received: AtomicU64::new(0),
+        }
+    }
+
+    /// Binds `addr` and waits for the peer to dial. The accept itself
+    /// happens lazily on first use, so binding never blocks.
     ///
     /// # Errors
     ///
     /// [`TransportError::Io`] if the address cannot be bound.
     pub fn listen(addr: impl ToSocketAddrs) -> Result<Self, TransportError> {
         let listener = TcpListener::bind(addr).map_err(TransportError::from)?;
-        Ok(TcpTransport {
-            role: Role::Listener(listener),
-            cfg: TcpConfig::default(),
-            state: Mutex::new(TcpState { conn: None, broken: false }),
-            shadow: Mutex::new(None),
-            wire_sent: AtomicU64::new(0),
-            wire_received: AtomicU64::new(0),
-        })
+        let local = listener.local_addr().map_err(TransportError::from)?;
+        let descriptor = format!("tcp-listen:{local}");
+        Ok(Self::with_link(
+            TcpConfig::default(),
+            Some(local),
+            descriptor,
+            Link::Listening(listener),
+        ))
     }
 
     /// Dials `addr` (eagerly, with `cfg.connect_timeout`).
@@ -137,56 +155,30 @@ impl TcpTransport {
             .map_err(TransportError::from)?
             .next()
             .ok_or_else(|| TransportError::Io("address resolved to nothing".into()))?;
-        let t = TcpTransport {
-            role: Role::Connector(addr),
-            cfg,
-            state: Mutex::new(TcpState { conn: None, broken: false }),
-            shadow: Mutex::new(None),
-            wire_sent: AtomicU64::new(0),
-            wire_received: AtomicU64::new(0),
-        };
-        // Dial before taking the state lock — the mutex must never be
-        // held across connection establishment (it blocks on the network).
-        let conn = t.establish()?;
-        t.stash_shadow(&conn.stream);
-        t.lock().conn = Some(conn);
-        Ok(t)
+        let stream =
+            TcpStream::connect_timeout(&addr, cfg.connect_timeout).map_err(TransportError::from)?;
+        let conn = Conn::new(stream, &cfg)?;
+        Ok(Self::with_link(cfg, None, format!("tcp-connect:{addr}"), Link::Open(conn)))
     }
 
     /// Wraps a socket that an external accept loop already established —
-    /// the per-client transport inside a multi-tenant server. The
-    /// transport cannot reconnect ([`Transport::supports_reconnect`] is
-    /// false): the client owns re-dialing, and a fresh dial lands on a
-    /// fresh accepted transport.
+    /// the per-client transport inside a multi-tenant server.
     ///
     /// # Errors
     ///
     /// [`TransportError::Io`] if the socket options cannot be applied.
     pub fn from_accepted(stream: TcpStream, cfg: TcpConfig) -> Result<Self, TransportError> {
-        stream.set_nodelay(cfg.nodelay).map_err(TransportError::from)?;
-        stream.set_write_timeout(cfg.write_timeout).map_err(TransportError::from)?;
-        let shadow = stream.try_clone().ok();
-        Ok(TcpTransport {
-            role: Role::Accepted,
-            cfg,
-            state: Mutex::new(TcpState { conn: Some(Conn::new(stream)), broken: false }),
-            shadow: Mutex::new(shadow),
-            wire_sent: AtomicU64::new(0),
-            wire_received: AtomicU64::new(0),
-        })
+        let conn = Conn::new(stream, &cfg)?;
+        Ok(Self::with_link(cfg, None, "tcp-accepted".into(), Link::Open(conn)))
     }
 
     /// The bound address (listener side; useful with port 0).
     ///
     /// # Errors
     ///
-    /// [`TransportError::Io`] on a connector-side call or socket failure.
+    /// [`TransportError::Io`] on a transport not made by [`Self::listen`].
     pub fn local_addr(&self) -> Result<SocketAddr, TransportError> {
-        match &self.role {
-            Role::Listener(l) => l.local_addr().map_err(TransportError::from),
-            Role::Connector(_) => Err(TransportError::Io("connector has no listen addr".into())),
-            Role::Accepted => Err(TransportError::Io("accepted socket has no listen addr".into())),
-        }
+        self.listen_addr.ok_or_else(|| TransportError::Io("not a listening transport".into()))
     }
 
     /// Raw bytes moved over the socket (sent, received) including the
@@ -196,84 +188,51 @@ impl TcpTransport {
         (self.wire_sent.load(Ordering::Relaxed), self.wire_received.load(Ordering::Relaxed))
     }
 
-    /// Publishes the wire-byte counters as `tcp.wire_tx_bytes` /
-    /// `tcp.wire_rx_bytes` gauges. Comparing these against the endpoint's
-    /// payload totals exposes the framing + retransmission overhead of the
-    /// whole session stack.
-    pub fn publish_wire_gauges(&self, reg: &aq2pnn_obs::MetricsRegistry) {
-        let (tx, rx) = self.wire_bytes();
-        #[allow(clippy::cast_precision_loss)]
-        {
-            reg.gauge_set("tcp.wire_tx_bytes", tx as f64);
-            reg.gauge_set("tcp.wire_rx_bytes", rx as f64);
-        }
-    }
-
     // sync: allow(guard-escape, "single poison-recovery point; callers hold st for one framed message")
-    fn lock(&self) -> std::sync::MutexGuard<'_, TcpState> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Link> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Refreshes the out-of-band shutdown handle for the current socket.
-    /// A failed `try_clone` leaves it `None` (shutdown then degrades to
-    /// waiting on the state lock — correct, just not prompt).
-    fn stash_shadow(&self, stream: &TcpStream) {
-        let clone = stream.try_clone().ok();
-        *self.shadow.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = clone;
-    }
-
-    /// One connection-establishment attempt for this role.
-    fn establish(&self) -> Result<Conn, TransportError> {
-        let stream = match &self.role {
-            // The external accept loop owns establishment; this transport
-            // only ever holds the one socket it was born with.
-            Role::Accepted => return Err(TransportError::Disconnected),
-            Role::Connector(addr) => TcpStream::connect_timeout(addr, self.cfg.connect_timeout)
-                .map_err(TransportError::from)?,
-            Role::Listener(listener) => {
-                listener.set_nonblocking(true).map_err(TransportError::from)?;
-                let deadline = Instant::now() + self.cfg.accept_timeout;
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            stream.set_nonblocking(false).map_err(TransportError::from)?;
-                            break stream;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            if Instant::now() >= deadline {
-                                return Err(TransportError::Timeout);
-                            }
-                            std::thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(e) => return Err(TransportError::from(e)),
-                    }
-                }
-            }
-        };
-        stream.set_nodelay(self.cfg.nodelay).map_err(TransportError::from)?;
-        stream.set_write_timeout(self.cfg.write_timeout).map_err(TransportError::from)?;
-        Ok(Conn::new(stream))
-    }
-
-    /// Connection for the current operation: present, or (only before the
-    /// first failure) established on demand.
-    fn ensure_conn(&self, st: &mut TcpState) -> Result<(), TransportError> {
-        if st.conn.is_none() {
-            if st.broken {
-                return Err(TransportError::Disconnected);
-            }
-            let conn = self.establish()?;
-            self.stash_shadow(&conn.stream);
-            st.conn = Some(conn);
+    /// The open connection, accepting the peer first if this transport is
+    /// still listening.
+    fn conn<'a>(&self, st: &'a mut Link) -> Result<&'a mut Conn, TransportError> {
+        if let Link::Listening(listener) = st {
+            let conn = Conn::new(self.accept(listener)?, &self.cfg)?;
+            let clone = conn.stream.try_clone().ok();
+            *self.shadow.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = clone;
+            *st = Link::Open(conn);
         }
-        Ok(())
+        match st {
+            Link::Open(conn) => Ok(conn),
+            _ => Err(TransportError::Disconnected),
+        }
     }
 
-    fn fail_conn(st: &mut TcpState) {
-        if let Some(c) = st.conn.take() {
+    /// Waits up to `cfg.accept_timeout` for the peer to dial.
+    fn accept(&self, listener: &TcpListener) -> Result<TcpStream, TransportError> {
+        listener.set_nonblocking(true).map_err(TransportError::from)?;
+        let deadline = Instant::now() + self.cfg.accept_timeout;
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    stream.set_nonblocking(false).map_err(TransportError::from)?;
+                    return Ok(stream);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline {
+                        return Err(TransportError::Timeout);
+                    }
+                    std::thread::sleep(ACCEPT_POLL);
+                }
+                Err(e) => return Err(TransportError::from(e)),
+            }
+        }
+    }
+
+    fn fail_conn(st: &mut Link) {
+        if let Link::Open(c) = std::mem::replace(st, Link::Closed) {
             let _ = c.stream.shutdown(Shutdown::Both);
         }
-        st.broken = true;
     }
 
     /// Reads as much as possible of `buf[*got..]`, honoring `deadline`.
@@ -316,13 +275,12 @@ impl Transport for TcpTransport {
     fn send(&self, bytes: Bytes) -> Result<(), TransportError> {
         // sync: allow(blocking-while-locked, "the socket lives inside the state; framing requires exclusive stream access")
         let mut st = self.lock();
-        self.ensure_conn(&mut st)?;
         let len = bytes.len();
         if len > MAX_WIRE_MSG {
             return Err(TransportError::Io(format!("message of {len} bytes exceeds wire cap")));
         }
         let res = {
-            let conn = st.conn.as_mut().expect("ensured above");
+            let conn = self.conn(&mut st)?;
             conn.stream
                 .write_all(&(len as u32).to_le_bytes())
                 .and_then(|()| conn.stream.write_all(&bytes))
@@ -350,10 +308,9 @@ impl Transport for TcpTransport {
     fn recv(&self, deadline: Option<Duration>) -> Result<Bytes, TransportError> {
         // sync: allow(blocking-while-locked, "reads must own the stream to keep length-prefixed frames intact")
         let mut st = self.lock();
-        self.ensure_conn(&mut st)?;
         let abs_deadline = deadline.map(|d| Instant::now() + d);
         loop {
-            let conn = st.conn.as_mut().ok_or(TransportError::Disconnected)?;
+            let conn = self.conn(&mut st)?;
             if conn.have_len {
                 let mut body = std::mem::take(&mut conn.body);
                 let mut got = conn.body_got;
@@ -413,7 +370,7 @@ impl Transport for TcpTransport {
         let shadow = {
             // Scoped so the leaf `shadow` guard is released before the
             // `state` lock below — the only acquisition order is state →
-            // shadow (see `stash_shadow`), never the reverse.
+            // shadow (see `conn`), never the reverse.
             self.shadow.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
         };
         if let Some(s) = shadow {
@@ -422,34 +379,7 @@ impl Transport for TcpTransport {
         Self::fail_conn(&mut self.lock());
     }
 
-    fn reconnect(&self) -> Result<(), TransportError> {
-        // Establish outside the state borrow so a slow accept doesn't hold
-        // partial state; swap in atomically afterwards.
-        let conn = self.establish()?;
-        let mut st = self.lock();
-        if let Some(old) = st.conn.take() {
-            let _ = old.stream.shutdown(Shutdown::Both);
-        }
-        self.stash_shadow(&conn.stream);
-        st.conn = Some(conn);
-        st.broken = false;
-        Ok(())
-    }
-
-    fn supports_reconnect(&self) -> bool {
-        !matches!(self.role, Role::Accepted)
-    }
-
     fn descriptor(&self) -> String {
-        match &self.role {
-            Role::Listener(l) => {
-                format!(
-                    "tcp-listen:{}",
-                    l.local_addr().map_or_else(|_| "?".into(), |a| a.to_string())
-                )
-            }
-            Role::Connector(a) => format!("tcp-connect:{a}"),
-            Role::Accepted => "tcp-accepted".into(),
-        }
+        self.descriptor.clone()
     }
 }

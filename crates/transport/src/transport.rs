@@ -1,13 +1,13 @@
 //! The [`Transport`] trait — the pluggable link beneath an
 //! [`crate::Endpoint`] — and the in-process [`MemTransport`].
 //!
-//! A `Transport` moves opaque byte messages between the two parties. The
-//! contract is deliberately weak: messages may be *lost, duplicated,
-//! corrupted or delayed* by fallible implementations ([`crate::TcpTransport`]
-//! after a mid-stream disconnect, [`crate::FaultyTransport`] by design).
-//! The [`crate::Session`] reliability layer restores exactly-once in-order
-//! delivery on top of any `Transport`; the in-process [`MemTransport`] is
-//! already reliable and is used directly by [`crate::duplex`].
+//! A `Transport` moves opaque byte messages between the two parties, in
+//! order and intact, until the link fails; after that every call reports
+//! a typed error. Both implementations give this guarantee: TCP by its own
+//! retransmission, the in-process [`MemTransport`] by construction. Nothing
+//! above a transport repairs a link. The [`crate::Session`] layer stamps
+//! and checks frames, so a peer that breaks the order anyway is a typed
+//! error; [`crate::duplex`] uses the in-process link directly.
 
 use crate::TransportError;
 use bytes::Bytes;
@@ -39,26 +39,9 @@ pub trait Transport: Send + Sync {
     /// [`TransportError::Disconnected`] when the link is down.
     fn recv(&self, deadline: Option<Duration>) -> Result<Bytes, TransportError>;
 
-    /// Tears the link down. The peer observes
-    /// [`TransportError::Disconnected`]; a reconnectable transport can be
-    /// revived afterwards via [`Transport::reconnect`].
+    /// Tears the link down for good. The peer observes
+    /// [`TransportError::Disconnected`].
     fn shutdown(&self);
-
-    /// Attempts to re-establish a torn-down link (one attempt; backoff
-    /// policy lives in the [`crate::Session`] layer).
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Disconnected`] by default: most transports cannot
-    /// reconnect.
-    fn reconnect(&self) -> Result<(), TransportError> {
-        Err(TransportError::Disconnected)
-    }
-
-    /// Whether [`Transport::reconnect`] can ever succeed.
-    fn supports_reconnect(&self) -> bool {
-        false
-    }
 
     /// Human-readable description for diagnostics (`mem`, `tcp:…`).
     fn descriptor(&self) -> String;
@@ -73,8 +56,7 @@ enum Msg {
 ///
 /// This is the crossbeam-backed channel that has always modeled the two
 /// ZCU104 boards' link, now behind the [`Transport`] trait. It supports
-/// [`Transport::shutdown`] (both sides then observe `Disconnected`) but
-/// not reconnection.
+/// [`Transport::shutdown`]: both sides then observe `Disconnected`.
 pub struct MemTransport {
     tx: Sender<Msg>,
     rx: Receiver<Msg>,

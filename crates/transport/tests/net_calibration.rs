@@ -6,8 +6,9 @@
 //!
 //! 1. **Bytes** — the per-message wire overhead of the deployed stack is
 //!    exactly [`SESSION_WIRE_FRAMING_BYTES`] per frame (36-byte session
-//!    header + 4-byte length prefix) plus a bounded trickle of standalone
-//!    acks, measured from [`TcpTransport::wire_bytes`]. The model's
+//!    header + 4-byte length prefix), measured from
+//!    [`TcpTransport::wire_bytes`]: the session sends no frame of its own
+//!    beyond the messages it carries. The model's
 //!    per-message overhead constant must sit within 2× of the measured
 //!    userspace framing plus nominal kernel headers.
 //! 2. **Wall-clock** — an α–β model parameterized from two loopback
@@ -40,10 +41,9 @@ fn tcp_session_pair() -> TcpPair {
     let addr = listener.local_addr().expect("addr");
     let connector =
         Arc::new(TcpTransport::connect(addr, TcpConfig::default()).expect("dial loopback"));
-    let scfg = SessionConfig::default();
     TcpPair {
-        a: Arc::new(Session::new(Arc::clone(&connector) as Arc<dyn Transport>, scfg)),
-        b: Arc::new(Session::new(Arc::clone(&listener) as Arc<dyn Transport>, scfg)),
+        a: Arc::new(Session::new(Arc::clone(&connector) as Arc<dyn Transport>, SessionConfig)),
+        b: Arc::new(Session::new(Arc::clone(&listener) as Arc<dyn Transport>, SessionConfig)),
         a_raw: connector,
     }
 }
@@ -67,9 +67,9 @@ fn ping_pong(pair: &TcpPair, rounds: usize, size: usize) -> Duration {
     elapsed
 }
 
-/// The measured per-message wire overhead must be the session+prefix
-/// framing (plus at most a bounded ack trickle), and the model constant
-/// must agree with measurement + nominal kernel headers to within 2×.
+/// The measured per-message wire overhead must be exactly the
+/// session+prefix framing, and the model constant must agree with
+/// measurement + nominal kernel headers to within 2×.
 #[test]
 fn measured_wire_overhead_matches_the_model_constant() {
     let pair = tcp_session_pair();
@@ -79,17 +79,14 @@ fn measured_wire_overhead_matches_the_model_constant() {
 
     let (sent, _) = pair.a_raw.wire_bytes();
     let payload = (rounds * size) as u64;
-    assert!(sent > payload, "wire bytes must include framing");
-    let overhead_per_msg = (sent - payload) / rounds as u64;
-    // Exact framing is 32 B/frame; standalone acks (one 32-byte frame per
-    // `ack_every` data frames, plus handshake slack) can at most double it.
-    assert!(
-        (SESSION_WIRE_FRAMING_BYTES..=2 * SESSION_WIRE_FRAMING_BYTES).contains(&overhead_per_msg),
-        "measured overhead {overhead_per_msg} B/msg outside \
-         [{SESSION_WIRE_FRAMING_BYTES}, {}]",
-        2 * SESSION_WIRE_FRAMING_BYTES
-    );
     assert_eq!(SESSION_WIRE_FRAMING_BYTES, FRAME_HEADER_LEN as u64 + 4);
+    assert_eq!(
+        sent,
+        payload + rounds as u64 * SESSION_WIRE_FRAMING_BYTES,
+        "wire bytes must be the payload plus {SESSION_WIRE_FRAMING_BYTES} B per message, \
+         with no frame beyond the messages sent"
+    );
+    let overhead_per_msg = (sent - payload) / rounds as u64;
 
     // Model-vs-measurement: the deployed stack's true per-message cost is
     // measured userspace framing + nominal kernel headers. The calibrated

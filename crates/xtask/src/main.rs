@@ -280,7 +280,7 @@ fn metrics_summary(snap: &MetricsSnapshot) -> Vec<String> {
     let mut lines = Vec::new();
     match dealer_summary(snap) {
         Some(line) => lines.push(line),
-        None if !server.is_empty() => lines.push("dealer: disabled".to_owned()),
+        None if server.is_some() => lines.push("dealer: disabled".to_owned()),
         None => {}
     }
     lines.extend(server);
@@ -317,7 +317,7 @@ fn dealer_summary(snap: &MetricsSnapshot) -> Option<String> {
     Some(line)
 }
 
-/// Per-class SLO quantile lines (schema v4), empty when the run recorded
+/// Per-class SLO quantile lines, empty when the run recorded
 /// no `server.slo.*_ms` histograms.
 fn slo_summary(snap: &MetricsSnapshot) -> Vec<String> {
     let mut lines = Vec::new();
@@ -341,18 +341,16 @@ fn slo_summary(snap: &MetricsSnapshot) -> Vec<String> {
     lines
 }
 
-/// Multi-tenant server summary from a metrics snapshot (schema v3):
-/// one header line of `server.sessions_*` accounting, then one line per
-/// multiplexed stream aggregating its `session.<id>.*` recovery counters.
-/// Empty when the run recorded no server metrics.
-fn server_summary(snap: &MetricsSnapshot) -> Vec<String> {
+/// Multi-tenant server summary from a metrics snapshot: one line of
+/// `server.sessions_*` accounting, `None` when the run recorded no server
+/// metrics.
+fn server_summary(snap: &MetricsSnapshot) -> Option<String> {
     let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     let families = ["admitted", "completed", "shed", "reaped", "rejected", "faulted"];
     if families.iter().all(|f| !snap.counters.contains_key(&format!("server.sessions_{f}"))) {
-        return Vec::new();
+        return None;
     }
-    let mut lines = Vec::new();
-    let mut head = format!(
+    let mut line = format!(
         "server sessions: admitted {}, completed {}, shed {}, reaped {}, rejected {}, faulted {}",
         c("server.sessions_admitted"),
         c("server.sessions_completed"),
@@ -362,35 +360,9 @@ fn server_summary(snap: &MetricsSnapshot) -> Vec<String> {
         c("server.sessions_faulted"),
     );
     if let Some(ms) = snap.gauges.get("server.drain_ms") {
-        head.push_str(&format!(" (drain {ms:.0} ms)"));
+        line.push_str(&format!(" (drain {ms:.0} ms)"));
     }
-    lines.push(head);
-    // Group `session.<id>.<field>` counters by stream ID.
-    let mut streams: std::collections::BTreeMap<u64, Vec<(String, u64)>> =
-        std::collections::BTreeMap::new();
-    for (key, &v) in &snap.counters {
-        let Some(rest) = key.strip_prefix("session.") else { continue };
-        let Some((id, field)) = rest.split_once('.') else { continue };
-        let Ok(id) = id.parse::<u64>() else { continue };
-        streams.entry(id).or_default().push((field.to_owned(), v));
-    }
-    for (id, fields) in streams {
-        let f = |name: &str| fields.iter().find(|(k, _)| k == name).map_or(0, |&(_, v)| v);
-        let repairs = f("retransmits") + f("naks_sent") + f("duplicates");
-        let faults = f("corrupt_frames") + f("misrouted") + f("reconnects");
-        let verdict = if repairs + faults == 0 { " — clean" } else { "" };
-        lines.push(format!(
-            "  stream {id}: retransmits {}, naks {}, dups {}, corrupt {}, misrouted {}, \
-             reconnects {}{verdict}",
-            f("retransmits"),
-            f("naks_sent"),
-            f("duplicates"),
-            f("corrupt_frames"),
-            f("misrouted"),
-            f("reconnects"),
-        ));
-    }
-    lines
+    Some(line)
 }
 
 /// Renders a flight-recorder dump (one faulted/reaped session) as an
@@ -519,10 +491,10 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// A v2 snapshot shaped like a server run with the background dealer
+    /// A snapshot shaped like a server run with the background dealer
     /// off: the server family is present, the dealer family absent.
-    const V2_SERVER_NO_DEALER: &str = r#"{
-        "metrics_version": 2,
+    const SERVER_NO_DEALER: &str = r#"{
+        "metrics_version": 5,
         "counters": {
             "server.sessions_admitted": 4,
             "server.sessions_completed": 4,
@@ -537,7 +509,7 @@ mod tests {
 
     #[test]
     fn server_without_dealer_reports_dealer_disabled() {
-        let doc = Json::parse(V2_SERVER_NO_DEALER).expect("fixture json");
+        let doc = Json::parse(SERVER_NO_DEALER).expect("fixture json");
         let snap = MetricsSnapshot::from_json(&doc).expect("fixture snapshot");
         let lines = metrics_summary(&snap);
         assert_eq!(lines.first().map(String::as_str), Some("dealer: disabled"));
@@ -550,7 +522,7 @@ mod tests {
     #[test]
     fn dealer_metrics_suppress_the_disabled_line() {
         let doc = Json::parse(
-            r#"{"metrics_version": 2,
+            r#"{"metrics_version": 5,
                 "counters": {"dealer.hits": 9, "dealer.misses": 1,
                              "server.sessions_admitted": 1},
                 "gauges": {}, "histograms": {}}"#,
@@ -565,8 +537,8 @@ mod tests {
     #[test]
     fn pure_client_snapshot_stays_silent_about_the_dealer() {
         let doc = Json::parse(
-            r#"{"metrics_version": 1,
-                "counters": {"transport.frames_sent": 12},
+            r#"{"metrics_version": 5,
+                "counters": {"ot.batches": 12},
                 "gauges": {}, "histograms": {}}"#,
         )
         .expect("json");
@@ -574,9 +546,11 @@ mod tests {
         assert!(metrics_summary(&snap).is_empty());
     }
 
+    /// The SLO and queue-wait metrics schema v4 introduced, in a
+    /// current-schema exposition.
     #[test]
     fn dashboard_renders_slo_and_queue_wait_from_v4_exposition() {
-        let text = "# SCHEMA 4\n\
+        let text = "# SCHEMA 5\n\
                     # TYPE server.inflight gauge\n\
                     server.inflight 2\n\
                     # TYPE server.sessions_admitted counter\n\
@@ -594,7 +568,7 @@ mod tests {
                     server.queue_wait_ms_bucket{le=\"+Inf\"} 2\n\
                     server.queue_wait_ms_sum 0.2\n\
                     server.queue_wait_ms_count 2\n";
-        let snap = parse_text(text).expect("v4 exposition parses");
+        let snap = parse_text(text).expect("exposition parses");
         let dash = render_dashboard("ok", &snap, "stream age_ms\n7 12\n");
         assert!(dash.starts_with("health: ok\ninflight: 2\n"), "{dash}");
         assert!(dash.contains("slo e2e: p50 "), "{dash}");

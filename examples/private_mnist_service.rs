@@ -16,24 +16,12 @@
 //! # trace_event, load in chrome://tracing or Perfetto), metrics.json and
 //! # the per-layer cost report into OUT/:
 //! cargo run --release --example private_mnist_service -- --trace OUT --metrics
-//!
-//! # Two real processes over TCP (run in two terminals):
-//! cargo run --release --example private_mnist_service -- --listen 127.0.0.1:9940
-//! cargo run --release --example private_mnist_service -- --connect 127.0.0.1:9940
-//!
-//! # Multi-client service (the aq2pnn-server crate): one provider,
-//! # any number of concurrent users, bounded admission + graceful drain:
-//! cargo run --release --example private_mnist_service -- --serve 127.0.0.1:9940
-//! cargo run --release --example private_mnist_service -- --client 127.0.0.1:9940 &
-//! cargo run --release --example private_mnist_service -- --client 127.0.0.1:9940
-//! # SIGINT/SIGTERM on the server → drain; exit 0 clean, 3 force-closed
 //! ```
 //!
-//! In two-process mode the connection runs through the fault-tolerant
-//! session layer: frames are sequence-numbered and checksummed, and the
-//! inference survives transient disconnects via reconnect + replay. The
-//! multi-client mode multiplexes every user onto its own session stream
-//! over one [`aq2pnn_server::InferenceServer`].
+//! Both parties run in this process over the in-memory link. The
+//! two-process deployment is the `aq2pnn-serve` / `aq2pnn-client` pair of
+//! binaries (the `aq2pnn-server` crate): one provider process serving any
+//! number of concurrent users over TCP.
 //!
 //! Progress lines go through the tracer's human log sink (stderr with
 //! monotonic timestamps); `--quiet` silences them. The summary and the
@@ -41,34 +29,23 @@
 //! only** — layer names, shapes, ring widths, byte counts (DESIGN.md §10).
 
 use aq2pnn::dealer::{DealerConfig, ExhaustionPolicy};
-use aq2pnn::engine::BatchInput;
-use aq2pnn::prepared::PreparedModel;
 use aq2pnn::sim::{run_two_party_service, run_two_party_traced, PartyObs};
 use aq2pnn::substrate::obs::chrome::chrome_trace;
 use aq2pnn::substrate::obs::json::Json;
 use aq2pnn::substrate::obs::report::CostReport;
-use aq2pnn::substrate::obs::{LogSink, MetricsRegistry, Tracer};
-use aq2pnn::{PartyContext, ProtocolConfig};
+use aq2pnn::substrate::obs::{LogSink, Tracer};
+use aq2pnn::ProtocolConfig;
 use aq2pnn_nn::data::SyntheticVision;
 use aq2pnn_nn::quant::QuantModel;
 use aq2pnn_nn::tensor::argmax_i64;
-use aq2pnn_server::{
-    demo_model, run_client, signal, ClientConfig, InferenceServer, ModelRegistry, ServerConfig,
-    ServerObs, TcpAcceptor,
-};
-use aq2pnn_sharing::PartyId;
-use aq2pnn_transport::{
-    duplex, Endpoint, NetworkModel, Session, SessionConfig, TcpConfig, TcpTransport,
-};
-use std::io::Write as _;
+use aq2pnn_server::demo_model;
+use aq2pnn_transport::{duplex, NetworkModel};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Builds the same deterministic dataset + trained/quantized model in any
-/// process — the shared [`aq2pnn_server::demo_model`] recipe, so the
-/// single-session modes, the multi-client modes and `aq2pnn-serve` all
-/// derive identical weights from the fixed seeds.
+/// process — the shared [`aq2pnn_server::demo_model`] recipe, so this
+/// example, `aq2pnn-serve` and `aq2pnn-client` all derive identical
+/// weights from the fixed seeds.
 fn build_model(
     log: &Tracer,
     spec_name: &str,
@@ -79,21 +56,14 @@ fn build_model(
 
 fn usage() -> ! {
     eprintln!(
-        "usage: private_mnist_service [--listen ADDR | --connect ADDR |\n\
-         \x20                             --serve ADDR | --client ADDR] [--count N]\n\
-         \x20                            [--batch B] [--dealer inline|background]\n\
+        "usage: private_mnist_service [--count N] [--batch B] [--dealer inline|background]\n\
          \x20                            [--model tiny|lenet5] [--trace DIR] [--metrics] [--quiet]\n\
          \n\
-         no flags        run both parties in-process\n\
-         --listen ADDR   run as the model provider, accept one user on ADDR\n\
-         --connect ADDR  run as the user, connect to a provider on ADDR\n\
-         --serve ADDR    run the multi-client provider (aq2pnn-server):\n\
-         \x20               bounded admission, per-session deadlines, and a\n\
-         \x20               SIGINT/SIGTERM graceful drain (exit 0 clean, 3 forced)\n\
-         --client ADDR   run one user session against a --serve provider\n\
+         Runs both parties in-process. The two-process deployment is\n\
+         aq2pnn-serve + aq2pnn-client.\n\
+         \n\
          --count N       number of test images to classify (default 10)\n\
-         --batch B       images per batched online pass (default 1; both\n\
-         \x20               parties of a TCP session must agree)\n\
+         --batch B       images per batched online pass (default 1)\n\
          --dealer MODE   offline triple generation: inline (on the online\n\
          \x20               path, default) or background (pre-generated by\n\
          \x20               a dealer thread)\n\
@@ -106,10 +76,6 @@ fn usage() -> ! {
 }
 
 struct Args {
-    listen: Option<String>,
-    connect: Option<String>,
-    serve: Option<String>,
-    client: Option<String>,
     count: usize,
     batch: usize,
     background_dealer: bool,
@@ -131,10 +97,6 @@ impl Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        listen: None,
-        connect: None,
-        serve: None,
-        client: None,
         count: 10,
         batch: 1,
         background_dealer: false,
@@ -146,10 +108,6 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--listen" => args.listen = Some(it.next().unwrap_or_else(|| usage())),
-            "--connect" => args.connect = Some(it.next().unwrap_or_else(|| usage())),
-            "--serve" => args.serve = Some(it.next().unwrap_or_else(|| usage())),
-            "--client" => args.client = Some(it.next().unwrap_or_else(|| usage())),
             "--count" => {
                 args.count = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
             }
@@ -172,10 +130,6 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    let modes = [&args.listen, &args.connect, &args.serve, &args.client];
-    if modes.iter().filter(|m| m.is_some()).count() > 1 {
-        usage();
-    }
     args
 }
 
@@ -196,95 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * model.accuracy(&data.test()[..50.min(data.test().len())])
     ));
 
-    if let Some(addr) = &args.serve {
-        return serve_multi(addr, &model, &args, &log);
-    }
-    if let Some(addr) = &args.client {
-        return client_session(addr, &data, &model, &args, &log);
-    }
-    match (&args.listen, &args.connect) {
-        (Some(addr), None) => serve_tcp(addr, PartyId::ModelProvider, &data, &model, &args, &log),
-        (None, Some(addr)) => serve_tcp(addr, PartyId::User, &data, &model, &args, &log),
-        _ => run_in_process(&data, &model, &args, &log),
-    }
-}
-
-/// Multi-client provider: one [`InferenceServer`] serving any number of
-/// concurrent `--client` users until a SIGINT/SIGTERM drains it.
-fn serve_multi(
-    addr: &str,
-    model: &QuantModel,
-    args: &Args,
-    log: &Tracer,
-) -> Result<(), Box<dyn std::error::Error>> {
-    signal::install_handlers();
-    let mut registry = ModelRegistry::new();
-    registry.insert(args.model.clone(), model.clone());
-    let acceptor = TcpAcceptor::bind(addr, TcpConfig::default())?;
-    let bound = acceptor.local_addr().map_or_else(|_| addr.to_owned(), |a| a.to_string());
-    let cfg = ServerConfig { dealer: args.dealer_config(), ..ServerConfig::default() };
-    let mut server =
-        InferenceServer::start(Box::new(acceptor), cfg, registry, ServerObs::default());
-    println!("listening on {bound}");
-    let _ = std::io::stdout().flush();
-    log.info("multi-client server up; SIGINT/SIGTERM drains");
-
-    while !signal::shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    log.info("signal received, draining…");
-    let report = server.drain();
-    let c = server.counters();
-    println!(
-        "drain clean={} forced={} ms={} admitted={} completed={} shed={} reaped={}",
-        report.clean, report.forced, report.drain_ms, c.admitted, c.completed, c.shed, c.reaped
-    );
-    std::process::exit(i32::from(!report.clean) * 3);
-}
-
-/// One user session against a `--serve` provider: admission, request,
-/// secure inference, accuracy summary.
-fn client_session(
-    addr: &str,
-    data: &SyntheticVision,
-    model: &QuantModel,
-    args: &Args,
-    log: &Tracer,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let n = args.count.min(data.test().len());
-    let images: Vec<&[f32]> = data.test().iter().take(n).map(|s| s.image.as_slice()).collect();
-    log.info(format!("user: connecting to {addr}…"));
-    let tcp = TcpConfig { connect_timeout: Duration::from_secs(30), ..TcpConfig::default() };
-    let link = Arc::new(TcpTransport::connect(addr, tcp)?);
-    let ccfg = ClientConfig {
-        model: args.model.clone(),
-        q1_bits: 16,
-        batch: args.batch,
-        ..ClientConfig::default()
-    };
-    let started = Instant::now();
-    let run = run_client(link, &ccfg, model, &images)?;
-    let elapsed = started.elapsed();
-    let mut secure_correct = 0;
-    for (s, logits) in data.test().iter().take(n).zip(&run.logits) {
-        if argmax_i64(logits) == s.label {
-            secure_correct += 1;
-        }
-    }
-    println!("\n{n} secure inferences as multiplexed client (stream {})", run.stream);
-    println!("  secure accuracy   : {secure_correct}/{n}");
-    println!("  payload traffic   : {:.3} MiB", run.payload_bytes as f64 / (1024.0 * 1024.0));
-    println!(
-        "  wall-clock        : {:.2} s total, {:.2} s per inference",
-        elapsed.as_secs_f64(),
-        elapsed.as_secs_f64() / n as f64
-    );
-    let t = &run.telemetry;
-    println!(
-        "  link repairs      : {} retransmits, {} naks, {} reconnects",
-        t.retransmits, t.naks_sent, t.reconnects
-    );
-    Ok(())
+    run_in_process(&data, &model, &args, &log)
 }
 
 /// Writes `trace.json`, `metrics.json` and `report.txt` into `dir`.
@@ -420,129 +286,6 @@ fn run_in_process(
         }
         if args.metrics {
             println!("{}", metrics.to_string_pretty());
-        }
-    }
-    Ok(())
-}
-
-/// One real party over TCP: listener = model provider, connector = user.
-fn serve_tcp(
-    addr: &str,
-    id: PartyId,
-    data: &SyntheticVision,
-    model: &QuantModel,
-    args: &Args,
-    log: &Tracer,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let tcp = match id {
-        PartyId::ModelProvider => {
-            log.info(format!("provider: listening on {addr}…"));
-            TcpTransport::listen(addr)?
-        }
-        PartyId::User => {
-            log.info(format!("user: connecting to {addr}…"));
-            // Generous dial timeout so the user may be started first.
-            let cfg =
-                TcpConfig { connect_timeout: Duration::from_secs(30), ..TcpConfig::default() };
-            TcpTransport::connect(addr, cfg)?
-        }
-    };
-    let tcp = Arc::new(tcp);
-    let session = Arc::new(Session::new(Arc::clone(&tcp) as Arc<_>, SessionConfig::default()));
-    // A 60 s receive deadline turns a dead peer into a typed Timeout
-    // instead of a hang.
-    let ep =
-        Endpoint::over_transport(Arc::clone(&session) as Arc<_>, Some(Duration::from_secs(60)));
-    let cfg = ProtocolConfig::paper(16);
-    let mut ctx = PartyContext::new(id, ep, cfg, None);
-
-    let obs_on = args.trace.is_some() || args.metrics;
-    let (tracer, metrics) = if obs_on {
-        (Tracer::new(), MetricsRegistry::new())
-    } else {
-        (Tracer::disabled(), MetricsRegistry::disabled())
-    };
-    if obs_on {
-        session.attach_metrics(&metrics);
-    }
-    if args.quiet {
-        tracer.set_log_sink(LogSink::Silent);
-    }
-    ctx.set_obs(tracer.clone(), metrics.clone());
-
-    let started = Instant::now();
-    let n = args.count.min(data.test().len());
-    // Prepare once for the whole session: weight shares, GEMM layouts and
-    // the offline-f openings are paid a single time, then every batch is
-    // online-only. Both parties must agree on --count and --batch.
-    let mut prepared = PreparedModel::prepare(&mut ctx, model)?;
-    let _pool = args.dealer_config().map(|d| {
-        let pool = prepared.spawn_dealer(&ctx, d);
-        if pool.wait_warm(Duration::from_secs(10)) {
-            log.info("background dealer warm");
-        }
-        pool
-    });
-    let mut secure_correct = 0;
-    let mut done = 0usize;
-    while done < n {
-        let chunk = &data.test()[done..(done + args.batch).min(n)];
-        let chunk_logits = match id {
-            PartyId::User => {
-                let images: Vec<&[f32]> = chunk.iter().map(|s| s.image.as_slice()).collect();
-                let out = prepared.run_batch(&mut ctx, BatchInput::User(&images))?;
-                out.logits
-            }
-            PartyId::ModelProvider => {
-                let out =
-                    prepared.run_batch(&mut ctx, BatchInput::Provider { batch: chunk.len() })?;
-                out.logits
-            }
-        };
-        for (s, logits) in chunk.iter().zip(&chunk_logits) {
-            let pred = argmax_i64(logits);
-            if pred == s.label {
-                secure_correct += 1;
-            }
-            log.info(format!("inference {done}: predicted {pred} (label {})", s.label));
-            done += 1;
-        }
-    }
-    let total_bytes = ctx.ep.stats().total_bytes();
-    let (wire_tx, wire_rx) = tcp.wire_bytes();
-    let elapsed = started.elapsed();
-    println!("\n{n} secure inferences over TCP ({})", ctx.ep.link_descriptor());
-    println!("  secure accuracy   : {secure_correct}/{n}");
-    println!(
-        "  payload traffic   : {:.3} MiB  (wire: {:.3} MiB out, {:.3} MiB in, incl. framing)",
-        total_bytes as f64 / (1024.0 * 1024.0),
-        wire_tx as f64 / (1024.0 * 1024.0),
-        wire_rx as f64 / (1024.0 * 1024.0),
-    );
-    println!(
-        "  wall-clock        : {:.2} s total, {:.2} s per inference",
-        elapsed.as_secs_f64(),
-        elapsed.as_secs_f64() / n as f64
-    );
-
-    if obs_on {
-        // Wire-level byte gauges (framing included) alongside the session
-        // counters the reliability layer recorded during the run.
-        tcp.publish_wire_gauges(&metrics);
-        #[allow(clippy::cast_possible_truncation)] // party index is 0 or 1
-        let pid = id.index() as u32;
-        let spans = tracer.snapshot();
-        let parties = [(pid, &spans[..])];
-        let report = CostReport::from_spans(&parties);
-        let table = report.render();
-        println!("\nper-layer cost report ({n} inference(s), this party only):\n{table}");
-        let key = format!("party{pid}");
-        let metrics_doc = Json::obj(vec![(key.as_str(), metrics.snapshot().to_json())]);
-        if let Some(dir) = &args.trace {
-            write_artifacts(dir, &chrome_trace(&parties), &metrics_doc, &table, log)?;
-        }
-        if args.metrics {
-            println!("{}", metrics_doc.to_string_pretty());
         }
     }
     Ok(())

@@ -212,17 +212,13 @@ fn masked_mux_transcript_hides_the_sign() {
     );
 }
 
-/// Like [`captured_sign_run`], but over a fault-injected session link: the
-/// capture is the **true wire view** (session frames with headers,
-/// retransmissions, control traffic included), taken below the reliability
-/// layer.
+/// Like [`captured_sign_run`], but over a fault-injected session link:
+/// the capture is the **true wire view** (session frames with their
+/// headers), taken below the session layer.
 ///
-/// The fault plan uses corruption + duplication only: their recovery is
-/// event-driven (Nak on a bad checksum, re-Ack on a duplicate), so the
-/// frame schedule is a deterministic function of the fault seed. Drops are
-/// excluded here because their recovery is probe-*timeout*-driven, which
-/// would make the transcript shape depend on scheduler timing rather than
-/// on secrets — the soak tests in `transport_faults.rs` cover them.
+/// The fault plan delays frames, the one in-order fault a TCP link shows
+/// besides a disconnect. Delays move timing only, so the frame schedule
+/// stays a deterministic function of the protocol.
 fn captured_faulty_sign_run(vals: &[i64], trial: u64) -> (Transcript, Transcript) {
     let mut cfg = ProtocolConfig::paper(Q1_BITS);
     cfg.relu_mode = ReluMode::MaskedMux;
@@ -236,13 +232,11 @@ fn captured_faulty_sign_run(vals: &[i64], trial: u64) -> (Transcript, Transcript
     // so both classes see identical faults at identical frame indices.
     let plan = |side: u64| FaultPlan {
         seed: 0xfa11_7000 ^ (trial * 2 + side),
-        corrupt_per_mille: 30,
-        duplicate_per_mille: 30,
+        delay_per_mille: 30,
+        delay: Duration::from_micros(200),
         ..FaultPlan::default()
     };
-    // A huge probe interval keeps timing-driven Naks out of the capture.
-    let scfg =
-        SessionConfig { probe_interval: Duration::from_secs(30), ..SessionConfig::default() };
+    let scfg = SessionConfig;
     let (r0, r1) = mem_pair();
     let sess0 = Arc::new(Session::new(
         Arc::new(FaultyTransport::new(Arc::new(r0), plan(0))) as Arc<dyn Transport>,
@@ -266,11 +260,10 @@ fn captured_faulty_sign_run(vals: &[i64], trial: u64) -> (Transcript, Transcript
     (sess0.take_wire_capture(), sess1.take_wire_capture())
 }
 
-/// Fixed vs. random secrets over a corrupting/duplicating link: the raw
-/// wire frames (headers, retransmissions and all) must have identical
-/// shape across classes and indistinguishable byte distributions — i.e.
-/// retry traffic is a function of the seeded fault schedule, never of the
-/// secrets being carried.
+/// Fixed vs. random secrets over a delaying link: the raw wire frames
+/// (headers and all) must have identical shape across classes and
+/// indistinguishable byte distributions — i.e. the session header fields
+/// are a function of the message schedule, never of the secrets carried.
 #[test]
 fn session_fault_wire_transcript_is_plaintext_independent() {
     let half = 1i64 << (Q1_BITS - 1);
@@ -482,13 +475,7 @@ fn assert_metrics_body_hygienic(body: &str) {
 /// state vocabulary — never request contents.
 fn assert_sessions_body_hygienic(body: &str) {
     let mut lines = body.lines();
-    assert_eq!(
-        lines.next(),
-        Some(
-            "stream age_ms idle_ms state retransmits reconnects naks corrupt duplicates gaps misrouted"
-        ),
-        "unexpected /sessions header"
-    );
+    assert_eq!(lines.next(), Some("stream age_ms idle_ms state"), "unexpected /sessions header");
     for row in lines.filter(|l| !l.is_empty()) {
         for (i, tok) in row.split_whitespace().enumerate() {
             if i == 3 {
@@ -542,21 +529,19 @@ fn admin_surface_and_flightrec_dumps_carry_public_structure_only() {
         demo_model, mem_acceptor, run_client, ClientConfig, InferenceServer, ModelRegistry,
         ServerConfig, ServerObs,
     };
-    use aq2pnn_transport::{http_get, Frame, FrameKind, SessionConfig};
+    use aq2pnn_transport::{http_get, Frame, FrameKind};
 
     let dir = std::env::temp_dir().join(format!("aq2pnn-leak-flightrec-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (data, model) = demo_model("tiny").expect("demo model");
     let mut registry = ModelRegistry::new();
     registry.insert("tiny", model.clone());
-    let session = SessionConfig { probe_interval: Duration::from_millis(25), ..Default::default() };
     let cfg = ServerConfig {
         max_sessions: 4,
         queue_depth: 4,
         admission_timeout: Duration::from_secs(30),
         idle_timeout: Duration::from_millis(300),
         reap_interval: Duration::from_millis(10),
-        session,
         slo_ms: Some(60_000),
         flightrec_dir: Some(dir.clone()),
         ..ServerConfig::default()
@@ -573,7 +558,6 @@ fn admin_surface_and_flightrec_dumps_carry_public_structure_only() {
         model: "tiny".into(),
         q1_bits: 16,
         batch: 1,
-        session,
         admission_timeout: Duration::from_secs(30),
         io_deadline: Duration::from_secs(30),
     };

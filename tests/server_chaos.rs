@@ -1,24 +1,20 @@
 //! Chaos soak for the multi-tenant inference server (ISSUE: robustness).
 //!
 //! Every test here drives a real [`InferenceServer`] over the in-process
-//! [`mem_acceptor`] harness with real concurrent clients, and asserts the
+//! [`mem_acceptor`] harness (or, where dialing itself is the subject, a
+//! loopback [`TcpAcceptor`]) with real concurrent clients, and asserts the
 //! three core robustness properties end to end:
 //!
-//! 1. **Bit-identical isolation** — clients on clean or *recoverable*
-//!    lossy links (drop/delay/duplicate/corrupt, repaired by the session
-//!    layer) produce logits bit-identical to an unfaulted reference run,
-//!    regardless of what other sessions' links are doing.
-//! 2. **Typed failure** — faulted, shed, version-skewed and garbage
-//!    clients get a typed error within a bounded deadline; nothing hangs.
+//! 1. **Bit-identical isolation** — clients on clean or merely slow
+//!    (delayed) links produce logits bit-identical to an unfaulted
+//!    reference run, regardless of what other sessions' links are doing.
+//! 2. **Typed failure** — disconnected, wrong (corrupt or duplicated
+//!    frames), shed, version-skewed and garbage clients get a typed error
+//!    within a bounded deadline; nothing hangs and nothing is repaired.
 //! 3. **Zero leakage** — after every scenario the server returns to zero
-//!    active sessions and zero registered dealer lanes, and the clean
-//!    sessions' per-stream `session.<id>.*` recovery counters stay at 0.
+//!    active sessions and zero registered dealer lanes.
 //!
-//! Fault schedules are seeded and deterministic ([`FaultPlan`]); the seed
-//! scan helper below pins schedules that keep the single unprotected raw
-//! admission frame (the client `Hello`, send index 0) intact while
-//! guaranteeing a corruption lands inside the reliability-protected
-//! window, so no test depends on luck.
+//! Fault schedules are seeded and deterministic ([`FaultPlan`]).
 //!
 //! The `#[ignore]`d matrix at the bottom is the heavy release-mode soak
 //! run by the CI `fault-matrix` job via `--include-ignored`.
@@ -28,11 +24,13 @@ use aq2pnn_nn::quant::QuantModel;
 use aq2pnn_obs::MetricsRegistry;
 use aq2pnn_server::{
     demo_model, mem_acceptor, run_client, ClientConfig, ClientError, ClientRun, InferenceServer,
-    MemConnector, ModelRegistry, ServerConfig, ServerObs,
+    MemConnector, ModelRegistry, ServerConfig, ServerObs, TcpAcceptor,
 };
 use aq2pnn_transport::{
-    session_metric_name, FaultAction, FaultPlan, FaultyTransport, Frame, FrameKind, SessionConfig,
+    Bytes, FaultPlan, FaultyTransport, Frame, FrameKind, TcpConfig, TcpTransport, Transport,
+    TransportError,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -49,12 +47,6 @@ fn images(n: usize) -> Vec<&'static [f32]> {
     fixture().0.iter().take(n).map(Vec::as_slice).collect()
 }
 
-/// Session tuning shared by both sides: fast probes so lossy-link repair
-/// and reaper tests converge quickly in debug builds.
-fn fast_session() -> SessionConfig {
-    SessionConfig { probe_interval: Duration::from_millis(25), ..SessionConfig::default() }
-}
-
 fn server_cfg() -> ServerConfig {
     ServerConfig {
         max_sessions: 4,
@@ -65,7 +57,6 @@ fn server_cfg() -> ServerConfig {
         idle_timeout: Duration::from_secs(30),
         reap_interval: Duration::from_millis(10),
         drain_timeout: Duration::from_secs(10),
-        session: fast_session(),
         dealer: None,
         ..ServerConfig::default()
     }
@@ -76,20 +67,22 @@ fn client_cfg() -> ClientConfig {
         model: "tiny".into(),
         q1_bits: 16,
         batch: 1,
-        session: fast_session(),
         admission_timeout: Duration::from_secs(5),
         io_deadline: Duration::from_secs(30),
     }
 }
 
-fn start(cfg: ServerConfig) -> (InferenceServer, MemConnector, MetricsRegistry) {
+fn start(cfg: ServerConfig) -> (InferenceServer, MemConnector) {
     let (acceptor, dial) = mem_acceptor();
-    let metrics = MetricsRegistry::new();
+    let obs = ServerObs { metrics: MetricsRegistry::new(), ..ServerObs::default() };
+    let server = InferenceServer::start(Box::new(acceptor), cfg, registry(), obs);
+    (server, dial)
+}
+
+fn registry() -> ModelRegistry {
     let mut registry = ModelRegistry::new();
     registry.insert("tiny", fixture().1.clone());
-    let obs = ServerObs { metrics: metrics.clone(), ..ServerObs::default() };
-    let server = InferenceServer::start(Box::new(acceptor), cfg, registry, obs);
-    (server, dial, metrics)
+    registry
 }
 
 fn clean_run(dial: &MemConnector, n: usize) -> Result<ClientRun, ClientError> {
@@ -104,39 +97,59 @@ fn wait_until(what: &str, budget: Duration, mut ready: impl FnMut() -> bool) {
     }
 }
 
-/// Scans seeds for a lossy plan that (a) passes the raw admission `Hello`
-/// (send index 0 — the one frame outside session reliability) and
-/// (b) corrupts at least one frame inside the first 15 sends, so the
-/// server-side repair counters for this stream are *guaranteed* nonzero.
-fn lossy_plan(seed0: u64) -> FaultPlan {
-    let mut seed = seed0;
-    loop {
-        let plan = FaultPlan::lossy(seed);
-        let hello_ok = plan.action(0) == FaultAction::Pass;
-        let early_corrupt = (1..=15).any(|i| plan.action(i) == FaultAction::Corrupt);
-        if hello_ok && early_corrupt {
-            return plan;
-        }
-        seed = seed.wrapping_add(1);
-    }
+/// A client-side link that delays every frame: slow, but a correct peer.
+fn delayed_plan(seed: u64) -> FaultPlan {
+    FaultPlan { seed, delay_per_mille: 200, delay: Duration::from_millis(2), ..FaultPlan::clean() }
 }
 
-/// The fault-evidence fields every *clean* stream must keep at zero.
-///
-/// Deliberately NOT the full telemetry set: `naks_sent`, `retransmits`
-/// and `duplicates` double as silence probes and can legitimately tick on
-/// a healthy link whenever the peer is slow (concurrent debug-mode 2PC is
-/// exactly that), whereas a CRC failure, a misrouted frame or a reconnect
-/// can only come from actual link faults.
-const RECOVERY_FIELDS: &[&str] = &["corrupt_frames", "misrouted", "reconnects"];
+/// What a wrong peer does to one of its sends.
+#[derive(Clone, Copy)]
+enum Wrong {
+    /// Flip one bit of the frame's last byte (its payload or its CRC).
+    Corrupt,
+    /// Send the frame twice.
+    Duplicate,
+}
 
-/// Asserts the server-side recovery counters for `stream` are all zero.
-fn assert_stream_untouched(metrics: &MetricsRegistry, stream: u64) {
-    let snap = metrics.snapshot();
-    for field in RECOVERY_FIELDS {
-        let name = session_metric_name(stream, field);
-        let v = snap.counters.get(&name).copied().unwrap_or(0);
-        assert_eq!(v, 0, "clean stream {stream} has nonzero {name} = {v}");
+/// A client link that misbehaves once, at outgoing send `at`. TCP never
+/// corrupts or duplicates a frame; a buggy or hostile peer can, and the
+/// server must fail that one session with a typed error.
+struct WrongPeer {
+    inner: Arc<dyn Transport>,
+    at: u64,
+    wrong: Wrong,
+    sent: AtomicU64,
+}
+
+impl Transport for WrongPeer {
+    fn send(&self, bytes: Bytes) -> Result<(), TransportError> {
+        if self.sent.fetch_add(1, Ordering::SeqCst) != self.at {
+            return self.inner.send(bytes);
+        }
+        match self.wrong {
+            Wrong::Corrupt => {
+                let mut bad = bytes.to_vec();
+                let last = bad.len() - 1;
+                bad[last] ^= 1;
+                self.inner.send(Bytes::from(bad))
+            }
+            Wrong::Duplicate => {
+                self.inner.send(bytes.clone())?;
+                self.inner.send(bytes)
+            }
+        }
+    }
+
+    fn recv(&self, deadline: Option<Duration>) -> Result<Bytes, TransportError> {
+        self.inner.recv(deadline)
+    }
+
+    fn shutdown(&self) {
+        self.inner.shutdown();
+    }
+
+    fn descriptor(&self) -> String {
+        format!("wrong-peer({})", self.inner.descriptor())
     }
 }
 
@@ -155,7 +168,7 @@ fn concurrent_clean_clients_complete_bit_identically() {
         dealer: Some(DealerConfig { depth: 8, policy: ExhaustionPolicy::GenerateInline }),
         ..server_cfg()
     };
-    let (mut server, dial, _metrics) = start(cfg);
+    let (mut server, dial) = start(cfg);
 
     let reference = clean_run(&dial, 2).expect("reference run");
     assert_eq!(reference.logits.len(), 2);
@@ -188,58 +201,84 @@ fn concurrent_clean_clients_complete_bit_identically() {
 }
 
 // ---------------------------------------------------------------------------
-// Recoverable faults: lossy links repair to bit-identical logits, and the
-// per-stream telemetry proves the faults never bled across sessions.
+// Wrong peers: a corrupt or duplicated frame mid-pass is a typed failure of
+// that session alone, never a repair.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn lossy_links_recover_bit_identically_and_clean_streams_stay_untouched() {
-    let (mut server, dial, metrics) = start(server_cfg());
+fn wrong_peer_frames_fail_their_own_session_with_a_typed_error() {
+    let (mut server, dial) = start(server_cfg());
     let reference = clean_run(&dial, 2).expect("reference run");
 
-    let lossy = |seed0: u64| {
+    let wrong = |wrong: Wrong| {
         let dial = dial.clone();
         std::thread::spawn(move || {
-            let plan = lossy_plan(seed0);
-            let link = Arc::new(FaultyTransport::new(dial.connect().expect("connect"), plan));
-            let stats_probe = Arc::clone(&link);
-            let out = run_client(link, &client_cfg(), &fixture().1, &images(2));
-            (out, stats_probe.stats())
+            // Send #10 is well past admission (Hello = #0, request = #1),
+            // inside the protocol.
+            let link = WrongPeer {
+                inner: dial.connect().expect("connect"),
+                at: 10,
+                wrong,
+                sent: AtomicU64::new(0),
+            };
+            run_client(Arc::new(link), &client_cfg(), &fixture().1, &images(2))
         })
     };
-    let faulty = [lossy(0xC0A1), lossy(0xC0A2)];
+    let wrong_peers = [wrong(Wrong::Corrupt), wrong(Wrong::Duplicate)];
     let clean = {
         let dial = dial.clone();
         std::thread::spawn(move || clean_run(&dial, 2))
     };
 
     let clean_out = clean.join().expect("clean thread").expect("clean client");
-    assert_eq!(clean_out.logits, reference.logits);
-    let mut lossy_streams = Vec::new();
-    for h in faulty {
-        let (out, stats) = h.join().expect("lossy thread");
-        let run = out.expect("lossy link is recoverable, client must still succeed");
-        assert_eq!(run.logits, reference.logits, "repaired run diverged from reference");
-        assert!(stats.corrupted > 0, "seed scan guaranteed an early corrupt");
-        lossy_streams.push(run.stream);
+    assert_eq!(clean_out.logits, reference.logits, "bystander session diverged");
+    for h in wrong_peers {
+        let err = h.join().expect("wrong-peer thread").expect_err("a wrong peer must fail");
+        assert!(
+            matches!(err, ClientError::Transport(_)),
+            "a wrong peer's session must end in a typed transport error, got {err}"
+        );
     }
 
     assert_no_leaks(&server);
-
-    // Isolation: the faulted streams did repair work server-side, the
-    // clean streams' recovery counters are untouched.
-    let snap = metrics.snapshot();
-    for stream in lossy_streams {
-        let corrupt =
-            snap.counters.get(&session_metric_name(stream, "corrupt_frames")).copied().unwrap_or(0);
-        assert!(corrupt > 0, "server never saw the injected corruption on stream {stream}");
-    }
-    assert_stream_untouched(&metrics, reference.stream);
-    assert_stream_untouched(&metrics, clean_out.stream);
-
     let c = server.counters();
-    assert_eq!(c.completed, 4);
-    assert_eq!(c.faulted, 0, "recoverable faults must not fault sessions");
+    assert_eq!(c.admitted, 4);
+    assert_eq!(c.completed, 2);
+    assert_eq!(c.faulted, 2, "each wrong frame must fault exactly its own session");
+    assert_eq!(c.rejected, 0);
+    assert_eq!(c.reaped, 0);
+    server.drain();
+}
+
+// ---------------------------------------------------------------------------
+// No re-dial storm: a TCP client whose session the server reaps mid-pass
+// fails once, with a typed error, and never comes back as a fresh
+// admission.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn reaped_tcp_client_fails_once_without_redialing() {
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", TcpConfig::default()).expect("bind");
+    let addr = acceptor.local_addr().expect("bound addr");
+    let cfg = ServerConfig { session_deadline: Duration::from_millis(300), ..server_cfg() };
+    let mut server =
+        InferenceServer::start(Box::new(acceptor), cfg, registry(), ServerObs::default());
+
+    // Every client frame is 20 ms late, so the session outlives its
+    // deadline and the reaper closes it mid-protocol.
+    let plan =
+        FaultPlan { delay_per_mille: 1000, delay: Duration::from_millis(20), ..FaultPlan::clean() };
+    let link = TcpTransport::connect(addr, TcpConfig::default()).expect("dial");
+    let link = Arc::new(FaultyTransport::new(Arc::new(link), plan));
+    let err = run_client(link, &client_cfg(), &fixture().1, &images(2))
+        .expect_err("a reaped session cannot complete");
+    assert!(matches!(err, ClientError::Transport(_)), "expected a typed transport error: {err}");
+
+    assert_no_leaks(&server);
+    let c = server.counters();
+    assert_eq!(c.admitted, 1, "the client re-dialed into fresh admissions");
+    assert_eq!(c.reaped, 1);
+    assert_eq!(c.completed, 0);
     server.drain();
 }
 
@@ -250,14 +289,14 @@ fn lossy_links_recover_bit_identically_and_clean_streams_stay_untouched() {
 
 #[test]
 fn mid_protocol_disconnect_is_typed_and_isolated() {
-    let (mut server, dial, metrics) = start(server_cfg());
+    let (mut server, dial) = start(server_cfg());
     let reference = clean_run(&dial, 2).expect("reference run");
 
     let doomed = {
         let dial = dial.clone();
         std::thread::spawn(move || {
-            // `MemTransport` cannot reconnect, so a cable pull at send #10
-            // (well past admission, inside the protocol) is fatal.
+            // A cable pull at send #10 (well past admission, inside the
+            // protocol) is fatal: nothing reconnects.
             let plan = FaultPlan { disconnect_at: vec![10], ..FaultPlan::clean() };
             let link = Arc::new(FaultyTransport::new(dial.connect().expect("connect"), plan));
             run_client(link, &client_cfg(), &fixture().1, &images(2))
@@ -277,8 +316,6 @@ fn mid_protocol_disconnect_is_typed_and_isolated() {
     assert_eq!(clean_out.logits, reference.logits, "bystander session diverged");
 
     assert_no_leaks(&server);
-    assert_stream_untouched(&metrics, reference.stream);
-    assert_stream_untouched(&metrics, clean_out.stream);
     let c = server.counters();
     assert_eq!(c.admitted, 3);
     assert_eq!(c.completed, 2);
@@ -305,7 +342,7 @@ fn slow_loris_is_reaped_on_the_idle_deadline() {
         idle_timeout: Duration::from_millis(250),
         ..server_cfg()
     };
-    let (mut server, dial, _metrics) = start(cfg);
+    let (mut server, dial) = start(cfg);
 
     // The loris completes admission, then never speaks again.
     let loris = dial.connect().expect("connect");
@@ -336,7 +373,7 @@ fn slow_loris_is_reaped_on_the_idle_deadline() {
 #[test]
 fn overload_is_shed_with_a_typed_error_immediately() {
     let cfg = ServerConfig { max_sessions: 1, queue_depth: 0, ..server_cfg() };
-    let (mut server, dial, _metrics) = start(cfg);
+    let (mut server, dial) = start(cfg);
 
     let occupant = {
         let dial = dial.clone();
@@ -372,7 +409,7 @@ fn overload_is_shed_with_a_typed_error_immediately() {
 #[test]
 fn shed_before_the_hello_is_still_a_typed_shed() {
     let cfg = ServerConfig { max_sessions: 1, queue_depth: 0, ..server_cfg() };
-    let (mut server, dial, _metrics) = start(cfg);
+    let (mut server, dial) = start(cfg);
 
     let occupant = dial.connect().expect("connect");
     wait_until("the occupant to be admitted", Duration::from_secs(5), || {
@@ -397,7 +434,7 @@ fn shed_before_the_hello_is_still_a_typed_shed() {
 
 #[test]
 fn garbage_and_version_skew_admissions_are_rejected_without_collateral() {
-    let (mut server, dial, _metrics) = start(server_cfg());
+    let (mut server, dial) = start(server_cfg());
 
     // Not a frame at all.
     let garbage = dial.connect().expect("connect");
@@ -431,7 +468,7 @@ fn garbage_and_version_skew_admissions_are_rejected_without_collateral() {
 // An unknown model name is a typed rejection carried back to the client.
 #[test]
 fn unknown_model_requests_are_rejected_with_the_reason() {
-    let (mut server, dial, _metrics) = start(server_cfg());
+    let (mut server, dial) = start(server_cfg());
     let cfg = ClientConfig { model: "resnet152".into(), ..client_cfg() };
     let err = run_client(dial.connect().expect("connect"), &cfg, &fixture().1, &images(1))
         .expect_err("unknown model must be rejected");
@@ -446,7 +483,7 @@ fn unknown_model_requests_are_rejected_with_the_reason() {
 
 // ---------------------------------------------------------------------------
 // Live telemetry: concurrent admin scrapes during load return consistent
-// schema-v4 snapshots without blocking any worker, and a reaped session
+// current-schema snapshots without blocking any worker, and a reaped session
 // leaves a parseable flight-recorder dump covering its final second.
 // ---------------------------------------------------------------------------
 
@@ -454,8 +491,8 @@ fn unknown_model_requests_are_rejected_with_the_reason() {
 /// until told to stop — but never fewer than [`MIN_SCRAPES`] rounds: the
 /// load it scrapes under lasts only as long as the clients take, which
 /// shrinks whenever the engine gets faster. Asserts every `/metrics` body
-/// is schema-v4-valid and counters stay monotone across scrapes; panics
-/// propagate through the join.
+/// declares the current schema and counters stay monotone across scrapes;
+/// panics propagate through the join.
 const MIN_SCRAPES: u64 = 3;
 
 fn spawn_scraper(
@@ -478,7 +515,7 @@ fn spawn_scraper(
             assert!(admitted >= last_admitted, "admitted counter went backwards");
             last_admitted = admitted;
             if admitted > 0 {
-                assert!(snap.gauges.contains_key("server.inflight"), "v4 inflight gauge missing");
+                assert!(snap.gauges.contains_key("server.inflight"), "inflight gauge missing");
             }
             let sessions =
                 aq2pnn_transport::http_get(admin, "/sessions", deadline).expect("/sessions");
@@ -508,7 +545,7 @@ fn admin_scrapes_are_consistent_and_reaped_sessions_dump_flight_recorders() {
         flightrec_dir: Some(dir.clone()),
         ..server_cfg()
     };
-    let (mut server, dial, _metrics) = start(cfg);
+    let (mut server, dial) = start(cfg);
     let admin = server.start_admin("127.0.0.1:0").expect("admin endpoint");
     let reference = clean_run(&dial, 2).expect("reference run");
 
@@ -568,7 +605,7 @@ fn admin_scrapes_are_consistent_and_reaped_sessions_dump_flight_recorders() {
 
 #[test]
 fn admin_rejects_non_loopback_binds_and_unknown_paths() {
-    let (mut server, _dial, _metrics) = start(server_cfg());
+    let (mut server, _dial) = start(server_cfg());
     assert!(server.start_admin("0.0.0.0:0").is_err(), "admin must refuse non-loopback binds");
     let admin = server.start_admin("127.0.0.1:0").expect("loopback bind");
     let err = aq2pnn_transport::http_get(admin, "/secrets", Duration::from_secs(2))
@@ -578,10 +615,23 @@ fn admin_rejects_non_loopback_binds_and_unknown_paths() {
 }
 
 // ---------------------------------------------------------------------------
-// The heavy matrix: rounds of mixed clean / lossy / disconnect / loris
-// clients under a dealer-enabled server. Release-mode CI soak
-// (`fault-matrix` job, `--include-ignored`); far too slow for debug tier-1.
+// The heavy matrix: rounds of every fault class a TCP peer can produce —
+// slow-loris, garbage admission, delayed links, disconnect and overload
+// shed — next to clean clients, under a dealer-enabled server. Release-mode
+// CI soak (`fault-matrix` job, `--include-ignored`); far too slow for debug
+// tier-1.
 // ---------------------------------------------------------------------------
+
+/// Connects and completes admission on a raw link, returning the link and
+/// the verdict frame's kind.
+fn raw_admission(dial: &MemConnector) -> (Arc<dyn Transport>, FrameKind) {
+    let link = dial.connect().expect("connect");
+    // A shed link may already be closed when the Hello goes out; the
+    // verdict is still queued.
+    let _ = link.send(Frame::control(FrameKind::Hello, 0, 0).encode().into());
+    let verdict = link.recv(Some(Duration::from_secs(2))).expect("verdict");
+    (link, Frame::decode(&verdict).expect("frame").kind)
+}
 
 #[test]
 #[ignore = "heavy soak; run in release via the CI fault-matrix job"]
@@ -598,31 +648,37 @@ fn chaos_matrix_soak() {
         flightrec_dir: Some(dir.clone()),
         ..server_cfg()
     };
-    let (mut server, dial, metrics) = start(cfg);
+    let capacity = cfg.max_sessions + cfg.queue_depth;
+    let (mut server, dial) = start(cfg);
     let admin = server.start_admin("127.0.0.1:0").expect("admin endpoint");
     // Scrape the admin surface for the whole soak: every snapshot must
-    // stay schema-v4-valid and monotone while chaos runs.
+    // stay schema-valid and monotone while chaos runs.
     let stop_scraper = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let scraper = spawn_scraper(admin, Arc::clone(&stop_scraper));
     let reference = clean_run(&dial, 2).expect("reference run");
 
+    let mut lorises = 0u64;
     for round in 0..3u64 {
         // A loris squats for this whole round.
-        let loris = dial.connect().expect("connect");
-        loris.send(Frame::control(FrameKind::Hello, 0, 0).encode().into()).expect("hello");
-        let _ = loris.recv(Some(Duration::from_secs(2))).expect("verdict");
+        let (loris, verdict) = raw_admission(&dial);
+        assert_eq!(verdict, FrameKind::Hello, "round {round}: loris not admitted");
+        let mut squatters = vec![loris];
 
-        // 2 clean + 3 lossy clients, all of which must complete
+        // Garbage admission traffic is rejected.
+        let garbage = dial.connect().expect("connect");
+        garbage.send(Bytes::from_static(b"GET / HTTP/1.1\r\n\r\n")).expect("send");
+
+        // 2 clean + 3 delayed clients, all of which must complete
         // bit-identically, plus 1 disconnecting client that must fail typed.
-        let mut recoverable = Vec::new();
+        let mut completing = Vec::new();
         for _ in 0..2 {
             let dial = dial.clone();
-            recoverable.push(std::thread::spawn(move || clean_run(&dial, 2)));
+            completing.push(std::thread::spawn(move || clean_run(&dial, 2)));
         }
         for i in 0..3u64 {
             let dial = dial.clone();
-            recoverable.push(std::thread::spawn(move || {
-                let plan = lossy_plan(0x5EED_0000 + round * 16 + i);
+            completing.push(std::thread::spawn(move || {
+                let plan = delayed_plan(0x5EED_0000 + round * 16 + i);
                 let link = Arc::new(FaultyTransport::new(dial.connect().expect("connect"), plan));
                 run_client(link, &client_cfg(), &fixture().1, &images(2))
             }));
@@ -636,27 +692,40 @@ fn chaos_matrix_soak() {
             })
         };
 
-        for h in recoverable {
-            let run = h.join().expect("client thread").expect("recoverable client");
+        for h in completing {
+            let run = h.join().expect("client thread").expect("completing client");
             assert_eq!(run.logits, reference.logits, "round {round}: diverged");
         }
         let err = doomed.join().expect("doomed thread").expect_err("disconnect must fail");
         assert!(matches!(err, ClientError::Transport(_)), "round {round}: {err}");
 
-        wait_until("round loris reap", Duration::from_secs(10), || {
-            server.counters().reaped > round
+        // Overload: squat until admission sheds, then a real client is
+        // declined with a typed `Shed` too.
+        loop {
+            let (link, verdict) = raw_admission(&dial);
+            if verdict == FrameKind::Shed {
+                break;
+            }
+            squatters.push(link);
+            assert!(squatters.len() <= capacity, "round {round}: never shed");
+        }
+        assert_eq!(clean_run(&dial, 1).expect_err("server is full"), ClientError::Shed);
+
+        lorises += squatters.len() as u64;
+        wait_until("round lorises reaped", Duration::from_secs(10), || {
+            server.counters().reaped == lorises
         });
-        drop(loris);
+        drop(squatters);
+        drop(garbage);
         assert_no_leaks(&server);
-        // The known-clean reference stream stays untouched through every
-        // round of chaos.
-        assert_stream_untouched(&metrics, reference.stream);
     }
 
     let c = server.counters();
-    assert_eq!(c.completed, 1 + 3 * 5, "reference + 5 recoverable per round");
-    assert_eq!(c.reaped, 3);
-    assert_eq!(c.faulted + c.rejected, 3, "one disconnect per round");
+    assert_eq!(c.completed, 1 + 3 * 5, "reference + 5 completing per round");
+    assert_eq!(c.reaped, lorises);
+    assert_eq!(c.shed, 3 * 2, "one squat-filled shed and one client shed per round");
+    assert!(c.rejected >= 3, "each round's garbage admission must be rejected");
+    assert_eq!(c.faulted + c.rejected, 3 + 3, "one garbage + one disconnect per round");
 
     stop_scraper.store(true, std::sync::atomic::Ordering::SeqCst);
     let scrapes = scraper.join().expect("scraper thread");
@@ -670,7 +739,7 @@ fn chaos_matrix_soak() {
         assert!(!events.is_empty());
         dumps += 1;
     }
-    assert!(dumps >= 3, "each reaped loris must dump, got {dumps}");
+    assert!(dumps >= lorises, "each reaped loris must dump, got {dumps} of {lorises}");
 
     let report = server.drain();
     assert!(report.clean);
