@@ -3,13 +3,14 @@
 //!
 //! A prepared model's per-inference offline cost is the triple draw on
 //! each linear layer's [`TripleLane`]: sampling a fresh compact `A`,
-//! computing `Z = expand(A) ⊗ B` (a full GEMM at layer shape) and
+//! computing `Z = expand(A) ⊗ B` (a full GEMM at layer shape, on the
+//! party whose `Z` share is not the random half of the split) and
 //! splitting both into shares. Inline, that work sits on the online
 //! critical path even though it depends on nothing the client sends.
 //!
 //! [`DealerPool`] moves it onto a dedicated [`aq2pnn_parallel::Worker`]:
 //! each lane becomes a [`LaneSlot`] — the lane itself plus a bounded FIFO
-//! of pre-generated [`TripleShare`]s keyed by the lane's `(a_shape, ℓ)` —
+//! of pre-generated [`LaneTriple`]s keyed by the lane's `(a_shape, ℓ)` —
 //! and a single background refill loop keeps every queue at its
 //! configured depth (backpressure: the producer sleeps while all queues
 //! are full and wakes on consumption). A warm online pass then *pops*
@@ -48,8 +49,7 @@ use aq2pnn_obs::{MetricsRegistry, Tracer};
 use aq2pnn_parallel::sync::{AtomicBool, Condvar, Mutex, Ordering};
 use aq2pnn_parallel::Worker;
 use aq2pnn_ring::RingTensor;
-use aq2pnn_sharing::beaver::TripleShare;
-use aq2pnn_sharing::dealer::TripleLane;
+use aq2pnn_sharing::dealer::{LaneTriple, TripleLane};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -112,7 +112,7 @@ pub struct LaneSlot {
     /// `queue` alone.
     lane: Mutex<TripleLane>,
     expand: ExpandFn,
-    queue: Mutex<VecDeque<TripleShare>>,
+    queue: Mutex<VecDeque<LaneTriple>>,
     depth: usize,
     policy: ExhaustionPolicy,
     signal: Arc<PoolSignal>,
@@ -163,7 +163,7 @@ impl LaneSlot {
     ///
     /// [`ProtocolError::DealerExhausted`] on an empty queue under
     /// [`ExhaustionPolicy::Fail`].
-    pub fn take(&self) -> Result<TripleShare, ProtocolError> {
+    pub fn take(&self) -> Result<LaneTriple, ProtocolError> {
         if self.is_wedged() {
             // Not policy-dependent: after a mid-draw panic the stream
             // position is unknown, so inline fallback could desync the
@@ -206,7 +206,7 @@ impl LaneSlot {
 
     /// Queue pop + bookkeeping shared by the hit path and the post-lock
     /// re-check.
-    fn pop(&self) -> Option<TripleShare> {
+    fn pop(&self) -> Option<LaneTriple> {
         let mut queue = self.queue.lock();
         let t = queue.pop_front();
         let len = queue.len();
@@ -615,7 +615,7 @@ impl TripleSource {
         &mut self,
         b: usize,
         expand: impl Fn(&RingTensor) -> RingTensor,
-    ) -> Result<Vec<TripleShare>, ProtocolError> {
+    ) -> Result<Vec<LaneTriple>, ProtocolError> {
         match self {
             TripleSource::Inline(lane) => Ok((0..b).map(|_| lane.next(&expand)).collect()),
             TripleSource::Pooled(slot) => {
@@ -639,7 +639,7 @@ mod tests {
 
     fn tiny_lane(seed: u64) -> TripleLane {
         let mut dealer = TripleDealer::from_seed(seed);
-        let (lane, _peer) = dealer.expanded_lane(Ring::new(8), &[1, 2], &[2, 1]);
+        let ((lane, _b), _peer) = dealer.expanded_lane(Ring::new(8), &[1, 2], &[2, 1]);
         lane
     }
 
@@ -752,9 +752,9 @@ mod loom_tests {
         loom::model(|| {
             let mut dealer = TripleDealer::from_seed(7);
             // 1×1 shapes keep the state space small.
-            let (lane, _peer) = dealer.expanded_lane(Ring::new(8), &[1, 1], &[1, 1]);
+            let ((lane, _b), _peer) = dealer.expanded_lane(Ring::new(8), &[1, 1], &[1, 1]);
             let mut reference = lane.clone();
-            let expected: Vec<TripleShare> =
+            let expected: Vec<LaneTriple> =
                 (0..3).map(|_| reference.next(RingTensor::clone)).collect();
 
             let pool = DealerPool::new_inner(

@@ -6,7 +6,14 @@
 //!
 //! ```text
 //! OUT_i = −i·E⊗F + IN_i⊗F + E⊗W_i + Z_i      (i ∈ {0, 1})
+//!       = (IN_i − i·E)⊗F + E⊗W_i + Z_i
 //! ```
+//!
+//! The second line is the same value mod `2^ℓ` (ring arithmetic
+//! distributes), and it is how `eq1` evaluates it: two GEMMs per party,
+//! not three. `F` and `W_i` are the right operands; for a prepared model
+//! both are session constants, demoted once to the accumulator width as
+//! [`MatRhs`] at bind, so the online pass never re-narrows them.
 //!
 //! The hardware realizes this with a `BLOCK_IN × BLOCK_OUT` array of C-C
 //! multiplication units at initiation interval 1; functionally the array
@@ -15,7 +22,8 @@
 
 use crate::{PartyContext, ProtocolError};
 use aq2pnn_ring::{Ring, RingTensor};
-use aq2pnn_sharing::beaver::{ring_matmul, TripleShare};
+use aq2pnn_sharing::beaver::{MatRhs, TripleShare};
+use aq2pnn_sharing::dealer::LaneTriple;
 use aq2pnn_sharing::{AShare, PartyId};
 
 /// The scalar C-C multiplication unit of paper Fig. 2(b):
@@ -96,15 +104,8 @@ pub fn secure_matmul(
         f_share.as_slice().iter().zip(&peer[m * k..]).map(|(&a, &b)| ring.add(a, b)).collect(),
     )?;
 
-    // Eq. 1, evaluated matrix-wise.
-    let in_f = ring_matmul(in_share.as_tensor(), &f)?;
-    let e_w = ring_matmul(&e, w_share.as_tensor())?;
-    let mut out = in_f.add(&e_w)?.add(&triple.z)?;
-    if ctx.id.index() == 1 {
-        let ef = ring_matmul(&e, &f)?;
-        out = out.sub(&ef)?;
-    }
-    Ok(AShare::from_tensor(out))
+    let (f, w) = (MatRhs::new(&f)?, MatRhs::new(w_share.as_tensor())?);
+    eq1(ctx.id, in_share.as_tensor(), &e, &f, &w, &triple.z)
 }
 
 /// Structured AS-GEMM with an offline weight mask:
@@ -145,7 +146,18 @@ pub fn secure_matmul_expanded(
     // One-time opening of F = W − B (offline phase, pre-deployed mask).
     let f = open_weight_mask(ctx, w_share, &triple.b)?;
 
-    expanded_online(ctx, in_share, w_share, &f, &triple, expand)
+    let item_shape = in_share.shape().to_vec();
+    let TripleShare { a, z, .. } = triple;
+    secure_matmul_prepared_batch(
+        ctx,
+        in_share,
+        1,
+        &item_shape,
+        &MatRhs::new(w_share.as_tensor())?,
+        &MatRhs::new(&f)?,
+        &[LaneTriple { a, z }],
+        expand,
+    )
 }
 
 /// Opens the weight mask `F = W − B` under the `offline-f` phase — the
@@ -182,40 +194,14 @@ pub fn open_weight_mask(
     Ok(f)
 }
 
-/// Online-only structured AS-GEMM for prepared models: the weight mask `F`
-/// was opened once at preparation time ([`open_weight_mask`]) and the
-/// triple comes from a resident
-/// [`aq2pnn_sharing::dealer::TripleLane`], so each call performs only the
-/// per-inference `E = IN − A` exchange and the local Eq. 1 evaluation.
-///
-/// # Errors
-///
-/// Propagates transport failures; returns [`ProtocolError::Desync`] on
-/// mismatched message sizes and [`ProtocolError::Shape`] on malformed
-/// operands.
-pub fn secure_matmul_prepared(
-    ctx: &mut PartyContext,
-    in_share: &AShare,
-    w_share: &AShare,
-    f_open: &RingTensor,
-    triple: &TripleShare,
-    expand: impl Fn(&RingTensor) -> RingTensor,
-) -> Result<AShare, ProtocolError> {
-    let ring = in_share.ring();
-    if w_share.shape().len() != 2 || ring != w_share.ring() {
-        return Err(ProtocolError::Shape(aq2pnn_ring::ShapeError::ShapeMismatch {
-            lhs: in_share.shape().to_vec(),
-            rhs: w_share.shape().to_vec(),
-        }));
-    }
-    expanded_online(ctx, in_share, w_share, f_open, triple, expand)
-}
-
-/// Batched online AS-GEMM for prepared models: `b` images share **one**
-/// `E` exchange (all masks concatenated, one round-trip) and Eq. 1 is then
-/// evaluated as a single stacked GEMM whose row axis grows `b×` — the ring
-/// kernels see `[b·m, k] ⊗ [k, n]`, so per-call overheads (operand
-/// demotion, round latency) amortize across the batch.
+/// Online AS-GEMM for prepared models: the weight mask `F` was opened
+/// once at preparation time ([`open_weight_mask`]) and, like this party's
+/// weight share `W_i`, demoted once into a [`MatRhs`]; the triples come
+/// from a resident [`aq2pnn_sharing::dealer::TripleLane`]. `b` images
+/// share **one** `E` exchange (all masks concatenated, one round-trip) and
+/// Eq. 1 is then evaluated on stacked operands whose row axis grows `b×`
+/// — the ring kernels see `[b·m, k] ⊗ [k, n]`, so the round latency
+/// amortizes across the batch.
 ///
 /// `in_share` holds the `b` images' shares concatenated (flat,
 /// `b · ∏item_shape` elements); `item_shape` is the per-image feature-map
@@ -235,17 +221,17 @@ pub fn secure_matmul_prepared_batch(
     in_share: &AShare,
     b: usize,
     item_shape: &[usize],
-    w_share: &AShare,
-    f: &RingTensor,
-    triples: &[TripleShare],
+    w: &MatRhs<'_>,
+    f: &MatRhs<'_>,
+    triples: &[LaneTriple],
     expand: impl Fn(&RingTensor) -> RingTensor,
 ) -> Result<AShare, ProtocolError> {
     let ring = in_share.ring();
     let item: usize = item_shape.iter().product();
-    if w_share.shape().len() != 2 || ring != w_share.ring() {
+    if ring != w.ring() || ring != f.ring() || w.shape() != f.shape() {
         return Err(ProtocolError::Shape(aq2pnn_ring::ShapeError::ShapeMismatch {
             lhs: in_share.shape().to_vec(),
-            rhs: w_share.shape().to_vec(),
+            rhs: w.shape().to_vec(),
         }));
     }
     if in_share.len() != b * item || triples.len() != b {
@@ -285,7 +271,7 @@ pub fn secure_matmul_prepared_batch(
     let mut z_stack: Vec<u64> = Vec::new();
     let mut rows_per_image = 0usize;
     let mut cols = 0usize;
-    let n_out = w_share.shape()[1];
+    let n_out = w.shape()[1];
     for (i, triple) in triples.iter().enumerate() {
         // secrecy: allow(secret-index, "slice bounds are image offsets from the public batch position `i` and public shape product `item`")
         let e_img = RingTensor::from_raw(
@@ -318,37 +304,23 @@ pub fn secure_matmul_prepared_batch(
     // Eq. 1 on the stacked operands. Rows are independent in a GEMM, so
     // the stacked product equals the concatenation of the per-image
     // products bit-for-bit.
-    let in_f = ring_matmul(&in_cols, f)?;
-    let e_w = ring_matmul(&e, w_share.as_tensor())?;
-    let mut out = in_f.add(&e_w)?.add(&z)?;
-    if ctx.id.index() == 1 {
-        out = out.sub(&ring_matmul(&e, f)?)?;
-    }
-    Ok(AShare::from_tensor(out))
+    eq1(ctx.id, &in_cols, &e, f, w, &z)
 }
 
-/// The per-inference core shared by [`secure_matmul_expanded`] and
-/// [`secure_matmul_prepared`]: the `b = 1` case of
-/// [`secure_matmul_prepared_batch`].
-fn expanded_online(
-    ctx: &mut PartyContext,
-    in_share: &AShare,
-    w_share: &AShare,
-    f: &RingTensor,
-    triple: &TripleShare,
-    expand: impl Fn(&RingTensor) -> RingTensor,
+/// Paper Eq. 1 for party `i`, as two GEMMs against the pre-demoted right
+/// operands: `OUT_i = (X_i − i·E)⊗F + E⊗W_i + Z_i`. This equals the
+/// paper's `−i·E⊗F + X_i⊗F + E⊗W_i + Z_i` mod `2^ℓ`, so the shares — and
+/// everything later put on the wire — are those of the three-GEMM form.
+fn eq1(
+    party: PartyId,
+    x: &RingTensor,
+    e: &RingTensor,
+    f: &MatRhs<'_>,
+    w: &MatRhs<'_>,
+    z: &RingTensor,
 ) -> Result<AShare, ProtocolError> {
-    let item_shape = in_share.shape().to_vec();
-    secure_matmul_prepared_batch(
-        ctx,
-        in_share,
-        1,
-        &item_shape,
-        w_share,
-        f,
-        std::slice::from_ref(triple),
-        expand,
-    )
+    let xf = if party.index() == 1 { f.matmul(&x.sub(e)?)? } else { f.matmul(x)? };
+    Ok(AShare::from_tensor(xf.add(&w.matmul(e)?)?.add(z)?))
 }
 
 #[cfg(test)]
@@ -356,6 +328,7 @@ mod tests {
     use super::*;
     use crate::sim::run_pair;
     use crate::ProtocolConfig;
+    use aq2pnn_sharing::beaver::ring_matmul;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

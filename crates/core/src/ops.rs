@@ -8,11 +8,12 @@
 //! shows BNReQ barely improving with bit-width); average pooling is an
 //! AS-ALU sum plus a dyadic requant.
 
-use crate::gemm::{secure_matmul_expanded, secure_matmul_prepared, secure_matmul_prepared_batch};
+use crate::gemm::{secure_matmul_expanded, secure_matmul_prepared_batch};
 use crate::{PartyContext, ProtocolError};
 use aq2pnn_nn::quant::Requant;
 use aq2pnn_ring::{Ring, RingTensor};
-use aq2pnn_sharing::beaver::TripleShare;
+use aq2pnn_sharing::beaver::MatRhs;
+use aq2pnn_sharing::dealer::LaneTriple;
 use aq2pnn_sharing::AShare;
 
 /// Geometry of a convolution, shared by lowering and cost accounting.
@@ -104,31 +105,12 @@ pub fn secure_conv2d(
 }
 
 /// 2PC-Conv2D online pass for prepared models: like [`secure_conv2d`], but
-/// the weight mask is already opened and the triple comes from a resident
-/// lane, so only the per-inference `E` exchange touches the wire.
-///
-/// # Errors
-///
-/// Propagates GEMM/transport failures.
-pub fn secure_conv2d_prepared(
-    ctx: &mut PartyContext,
-    x: &AShare,
-    g: &ConvGeometry,
-    w_mat: &AShare,
-    bias: &AShare,
-    f_open: &RingTensor,
-    triple: &TripleShare,
-) -> Result<AShare, ProtocolError> {
-    let geom = *g;
-    let out_mat =
-        secure_matmul_prepared(ctx, x, w_mat, f_open, triple, move |t| im2col_tensor(t, &geom))?;
-    conv_finish(g, &out_mat, bias)
-}
-
-/// Batched 2PC-Conv2D online pass: `b` images' shares concatenated along
-/// the leading axis (`[b·in_c, ih, iw]` flat), one triple per image, one
-/// `E` round-trip for the whole batch. Output is `[b·out_c, oh, ow]` —
-/// at `b = 1` this is exactly [`secure_conv2d_prepared`].
+/// the weight mask `f` is already opened, `f` and this party's weight
+/// share `w` are pre-demoted [`MatRhs`] operands, and the triples come
+/// from a resident lane, so only the per-inference `E` exchange touches
+/// the wire. `b` images' shares are concatenated along the leading axis
+/// (`[b·in_c, ih, iw]` flat), one triple per image, one `E` round-trip
+/// for the whole batch. Output is `[b·out_c, oh, ow]`.
 ///
 /// # Errors
 ///
@@ -139,18 +121,17 @@ pub fn secure_conv2d_prepared_batch(
     x: &AShare,
     b: usize,
     g: &ConvGeometry,
-    w_mat: &AShare,
+    w: &MatRhs<'_>,
     bias: &AShare,
-    f_open: &RingTensor,
-    triples: &[TripleShare],
+    f: &MatRhs<'_>,
+    triples: &[LaneTriple],
 ) -> Result<AShare, ProtocolError> {
     let geom = *g;
     let (ih, iw) = g.in_hw;
     let item_shape = [g.in_c, ih, iw];
-    let out_mat =
-        secure_matmul_prepared_batch(ctx, x, b, &item_shape, w_mat, f_open, triples, move |t| {
-            im2col_tensor(t, &geom)
-        })?;
+    let out_mat = secure_matmul_prepared_batch(ctx, x, b, &item_shape, w, f, triples, move |t| {
+        im2col_tensor(t, &geom)
+    })?;
     conv_finish_batch(g, b, &out_mat, bias)
 }
 
@@ -189,32 +170,9 @@ fn conv_finish_batch(
 }
 
 /// 2PC-Linear online pass for prepared models (see
-/// [`secure_conv2d_prepared`]).
-///
-/// # Errors
-///
-/// Propagates GEMM/transport failures.
-pub fn secure_linear_prepared(
-    ctx: &mut PartyContext,
-    x: &AShare,
-    w_mat: &AShare,
-    bias: &AShare,
-    f_open: &RingTensor,
-    triple: &TripleShare,
-) -> Result<AShare, ProtocolError> {
-    let in_f = x.len();
-    let out = secure_matmul_prepared(ctx, x, w_mat, f_open, triple, move |t| {
-        let mut m = t.clone();
-        m.reshape(vec![1, in_f]).expect("row vector");
-        m
-    })?;
-    linear_finish(&out, bias)
-}
-
-/// Batched 2PC-Linear online pass: `b` input rows concatenated flat
+/// [`secure_conv2d_prepared_batch`]): `b` input rows concatenated flat
 /// (`b · in_f` elements), one triple per row, one `E` round-trip. Output
-/// is the flat `[b·out_f]` share — at `b = 1` this is exactly
-/// [`secure_linear_prepared`].
+/// is the flat `[b·out_f]` share.
 ///
 /// # Errors
 ///
@@ -223,29 +181,23 @@ pub fn secure_linear_prepared_batch(
     ctx: &mut PartyContext,
     x: &AShare,
     b: usize,
-    w_mat: &AShare,
+    w: &MatRhs<'_>,
     bias: &AShare,
-    f_open: &RingTensor,
-    triples: &[TripleShare],
+    f: &MatRhs<'_>,
+    triples: &[LaneTriple],
 ) -> Result<AShare, ProtocolError> {
     let in_f = x.len() / b;
     let item_shape = [in_f];
-    let out =
-        secure_matmul_prepared_batch(ctx, x, b, &item_shape, w_mat, f_open, triples, move |t| {
-            let mut m = t.clone();
-            m.reshape(vec![1, in_f]).expect("row vector");
-            m
-        })?;
+    let out = secure_matmul_prepared_batch(ctx, x, b, &item_shape, w, f, triples, move |t| {
+        let mut m = t.clone();
+        m.reshape(vec![1, in_f]).expect("row vector");
+        m
+    })?;
     linear_finish_batch(b, &out, bias)
 }
 
-/// Adds the bias share to the flat GEMM output row.
-fn linear_finish(out: &AShare, bias: &AShare) -> Result<AShare, ProtocolError> {
-    linear_finish_batch(1, out, bias)
-}
-
-/// Batched [`linear_finish`]: the bias share is added to each image's
-/// output row; the result stays flat (`[b·out_f]`).
+/// Adds the bias share to each image's flat GEMM output row; the result
+/// stays flat (`[b·out_f]`).
 fn linear_finish_batch(b: usize, out: &AShare, bias: &AShare) -> Result<AShare, ProtocolError> {
     let ring = out.ring();
     let o = out.as_tensor().as_slice();

@@ -151,14 +151,15 @@ impl PartyContext {
 
     /// Creates this party's half of a reusable expanded-triple lane for a
     /// static-shape layer (see [`TripleLane`]) — the offline material a
-    /// prepared model keeps resident between inferences. Both parties must
-    /// call in the same order with the same arguments.
+    /// prepared model keeps resident between inferences — and this party's
+    /// share of the lane's fixed `B`, for the one `F = W − B` opening.
+    /// Both parties must call in the same order with the same arguments.
     pub fn expanded_lane(
         &mut self,
         ring: Ring,
         a_shape: &[usize],
         b_shape: &[usize],
-    ) -> TripleLane {
+    ) -> (TripleLane, RingTensor) {
         let (l0, l1) = self.dealer.expanded_lane(ring, a_shape, b_shape);
         match self.id {
             PartyId::User => l0,

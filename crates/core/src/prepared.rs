@@ -57,6 +57,7 @@ use aq2pnn_nn::quant::{quantize_image, QuantModel, QuantOp, Requant};
 use aq2pnn_obs::report::{ARG_RING_BITS, ARG_SHAPE, CAT_LAYER, CAT_OFFLINE, CAT_STAGE};
 use aq2pnn_obs::Histogram;
 use aq2pnn_ring::{Ring, RingTensor};
+use aq2pnn_sharing::beaver::MatRhs;
 use aq2pnn_sharing::{AShare, PartyId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
@@ -93,18 +94,21 @@ struct PreparedOp {
 }
 
 enum PreparedKind {
+    /// `w` (this party's weight share) and `f` (the opened `F = W − B`)
+    /// are the GEMM's session-constant right operands, demoted once at
+    /// bind.
     Conv2d {
         geom: ConvGeometry,
-        w_mat: AShare,
+        w: MatRhs<'static>,
         bias: AShare,
-        f_open: RingTensor,
+        f: MatRhs<'static>,
         source: TripleSource,
         requant: Requant,
     },
     Linear {
-        w_mat: AShare,
+        w: MatRhs<'static>,
         bias: AShare,
-        f_open: RingTensor,
+        f: MatRhs<'static>,
         source: TripleSource,
         requant: Requant,
     },
@@ -470,27 +474,27 @@ fn bind_ops(ctx: &mut PartyContext, ops: &[TemplateOp]) -> Result<Vec<PreparedOp
         let kind = match &op.kind {
             TemplateKind::Conv2d { geom, w_mat, bias, a_shape, out_shape, requant } => {
                 let span = ctx.span_begin(format!("conv{idx}"), CAT_OFFLINE, &[]);
-                let lane = ctx.expanded_lane(q2, a_shape, w_mat.shape());
-                let f_open = open_weight_mask(ctx, w_mat, lane.b_share())?;
+                let (lane, b_share) = ctx.expanded_lane(q2, a_shape, w_mat.shape());
+                let (w, f) = gemm_operands(ctx, w_mat, &b_share)?;
                 ctx.span_end_with(span, &[(ARG_SHAPE, shape_str(out_shape).into())]);
                 PreparedKind::Conv2d {
                     geom: *geom,
-                    w_mat: w_mat.clone(),
+                    w,
                     bias: bias.clone(),
-                    f_open,
+                    f,
                     source: TripleSource::Inline(Box::new(lane)),
                     requant: *requant,
                 }
             }
             TemplateKind::Linear { w_mat, bias, a_shape, out_shape, requant } => {
                 let span = ctx.span_begin(format!("fc{idx}"), CAT_OFFLINE, &[]);
-                let lane = ctx.expanded_lane(q2, a_shape, w_mat.shape());
-                let f_open = open_weight_mask(ctx, w_mat, lane.b_share())?;
+                let (lane, b_share) = ctx.expanded_lane(q2, a_shape, w_mat.shape());
+                let (w, f) = gemm_operands(ctx, w_mat, &b_share)?;
                 ctx.span_end_with(span, &[(ARG_SHAPE, shape_str(out_shape).into())]);
                 PreparedKind::Linear {
-                    w_mat: w_mat.clone(),
+                    w,
                     bias: bias.clone(),
-                    f_open,
+                    f,
                     source: TripleSource::Inline(Box::new(lane)),
                     requant: *requant,
                 }
@@ -523,6 +527,18 @@ fn bind_ops(ctx: &mut PartyContext, ops: &[TemplateOp]) -> Result<Vec<PreparedOp
         out.push(PreparedOp { idx, kind });
     }
     Ok(out)
+}
+
+/// A linear layer's session-constant GEMM operands: this party's weight
+/// share and the opened `F = W − B` (the one `offline-f` exchange), each
+/// demoted once to the accumulator width.
+fn gemm_operands(
+    ctx: &mut PartyContext,
+    w_mat: &AShare,
+    b_share: &RingTensor,
+) -> Result<(MatRhs<'static>, MatRhs<'static>), ProtocolError> {
+    let f = open_weight_mask(ctx, w_mat, b_share)?;
+    Ok((MatRhs::new(w_mat.as_tensor())?.into_owned(), MatRhs::new(&f)?.into_owned()))
 }
 
 /// Gathers `(label, lane, expand)` for every inline linear layer, in the
@@ -813,14 +829,13 @@ fn run_ops(
         let idx = op.idx;
         let span = layer_label(idx, &op.kind).map(|name| ctx.span_begin(name, CAT_LAYER, &[]));
         x = match &mut op.kind {
-            PreparedKind::Conv2d { geom, w_mat, bias, f_open, source, requant } => {
+            PreparedKind::Conv2d { geom, w, bias, f, source, requant } => {
                 ctx.ep.set_phase(format!("conv{idx}"));
                 let gemm = ctx.span_begin("gemm", CAT_STAGE, &[]);
                 let x2 = if x.ring() == q2 { x } else { ctx.extend_share(&x, q2)? };
                 let g = *geom;
                 let triples = source.take_n(b, move |t| im2col_tensor(t, &g))?;
-                let acc =
-                    secure_conv2d_prepared_batch(ctx, &x2, b, geom, w_mat, bias, f_open, &triples)?;
+                let acc = secure_conv2d_prepared_batch(ctx, &x2, b, geom, w, bias, f, &triples)?;
                 ctx.span_end(gemm);
                 ctx.ep.set_phase(format!("bnreq{idx}"));
                 let bnreq = ctx.span_begin("bnreq", CAT_STAGE, &[]);
@@ -828,7 +843,7 @@ fn run_ops(
                 ctx.span_end(bnreq);
                 r
             }
-            PreparedKind::Linear { w_mat, bias, f_open, source, requant } => {
+            PreparedKind::Linear { w, bias, f, source, requant } => {
                 ctx.ep.set_phase(format!("fc{idx}"));
                 let gemm = ctx.span_begin("gemm", CAT_STAGE, &[]);
                 let x2 = if x.ring() == q2 { x } else { ctx.extend_share(&x, q2)? };
@@ -838,7 +853,7 @@ fn run_ops(
                     m.reshape(vec![1, in_f]).expect("row vector");
                     m
                 })?;
-                let acc = secure_linear_prepared_batch(ctx, &x2, b, w_mat, bias, f_open, &triples)?;
+                let acc = secure_linear_prepared_batch(ctx, &x2, b, w, bias, f, &triples)?;
                 ctx.span_end(gemm);
                 ctx.ep.set_phase(format!("bnreq{idx}"));
                 let bnreq = ctx.span_begin("bnreq", CAT_STAGE, &[]);

@@ -52,6 +52,7 @@ impl Config {
                 "BShare",
                 "DaBitShare",
                 "TripleShare",
+                "LaneTriple",
                 "BitGroup",
                 "SignFlags",
                 "Garbled",

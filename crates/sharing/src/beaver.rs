@@ -9,6 +9,7 @@
 
 use aq2pnn_ring::simd::{self, scalar};
 use aq2pnn_ring::{IsaLevel, Ring, RingTensor, ShapeError};
+use std::borrow::Cow;
 use std::fmt;
 
 /// One party's share of a Beaver triple `(⟦A⟧, ⟦B⟧, ⟦Z⟧)` with
@@ -58,9 +59,10 @@ impl TripleShare {
 /// Plaintext matrix multiplication over a ring: `C[m,n] = A[m,k] ⊗ B[k,n]`,
 /// on the kernels of [`IsaLevel::active`].
 ///
-/// Shared by the dealer (to compute `Z`) and by the online GEMM evaluating
-/// paper Eq. 1, so this is the single hottest kernel in the system. See
-/// [`ring_matmul_with`] for the kernel structure.
+/// The dealer's `Z` product and the plaintext references use it; the
+/// online GEMM evaluating paper Eq. 1 holds its session-constant right
+/// operands as [`MatRhs`] instead, which runs the same kernel without
+/// demoting `b` per call. See [`MatRhs`] for the kernel structure.
 ///
 /// # Errors
 ///
@@ -71,22 +73,8 @@ pub fn ring_matmul(a: &RingTensor, b: &RingTensor) -> Result<RingTensor, ShapeEr
 }
 
 /// [`ring_matmul`] on an explicit ISA level — the entry point per-ISA
-/// property tests use.
-///
-/// The implementation is cache-blocked with **deferred masking**: because
-/// the ring modulus `2^ℓ` divides the accumulator modulus, the inner loops
-/// accumulate with plain `wrapping_mul`/`wrapping_add` and the ring mask is
-/// applied exactly once per output element at write-out — bit-identical to
-/// reducing after every MAC. The accumulator width is picked per ring
-/// (`u16` for ℓ ≤ 16, `u32` for ℓ ≤ 32 — every paper configuration —
-/// else `u64`), which doubles/quadruples SIMD lane counts on the narrow
-/// paper widths. Output rows are processed in register-blocked quads (one
-/// pass over each pair of `B` rows updates four `C` rows through the
-/// `axpy2` kernels) on the caller's thread. The u16 accumulator always
-/// runs the autovectorized scalar kernels; `isa` picks the hand-written
-/// u32/u64 kernels from [`aq2pnn_ring::simd`], which only moves *when*
-/// the answer is ready, never *what* it is. [`ring_matmul_reference`]
-/// keeps the scalar triple loop for cross-checking.
+/// property tests use: `MatRhs::new(b)` followed by
+/// [`MatRhs::matmul_with`].
 ///
 /// # Errors
 ///
@@ -97,77 +85,179 @@ pub fn ring_matmul_with(
     a: &RingTensor,
     b: &RingTensor,
 ) -> Result<RingTensor, ShapeError> {
-    let (ra, rb) = (a.ring(), b.ring());
-    if ra != rb || a.shape().len() != 2 || b.shape().len() != 2 || a.shape()[1] != b.shape()[0] {
-        return Err(ShapeError::ShapeMismatch { lhs: a.shape().to_vec(), rhs: b.shape().to_vec() });
-    }
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let n = b.shape()[1];
-    let (da, db) = (a.as_slice(), b.as_slice());
-    if ra.bits() <= 16 {
-        let out = matmul_narrow_u16((scalar::axpy_u16, scalar::axpy2_u16), ra, m, k, n, da, db);
-        return RingTensor::from_raw(ra, vec![m, n], out);
-    }
-    if ra.bits() <= 32 {
-        let kernels = (simd::axpy_u32_for(isa), simd::axpy2_u32_for(isa));
-        return RingTensor::from_raw(
-            ra,
-            vec![m, n],
-            matmul_narrow_u32(kernels, ra, m, k, n, da, db),
-        );
-    }
-    let mask = ra.mask();
-    let (axpy, axpy2) = (simd::axpy_u64_for(isa), simd::axpy2_u64_for(isa));
-    let mut out = vec![0u64; m * n];
-    let mut rows: Vec<&mut [u64]> = out.chunks_mut(n.max(1)).collect();
-    for (q, quad) in rows.chunks_mut(4).enumerate() {
-        let i0 = q * 4;
-        if let [r0, r1, r2, r3] = quad {
-            accumulate_quad_u64(
-                axpy,
-                axpy2,
-                [r0, r1, r2, r3],
-                [
-                    &da[i0 * k..][..k],
-                    &da[(i0 + 1) * k..][..k],
-                    &da[(i0 + 2) * k..][..k],
-                    &da[(i0 + 3) * k..][..k],
-                ],
-                db,
-                n,
-            );
-        } else {
-            for (t, row) in quad.iter_mut().enumerate() {
-                accumulate_row_u64(axpy, row, &da[(i0 + t) * k..][..k], db, n);
-            }
-        }
-    }
-    // Deferred masking: one reduction per element, at write-out.
-    for v in &mut out {
-        *v &= mask;
-    }
-    RingTensor::from_raw(ra, vec![m, n], out)
+    MatRhs::new(b)
+        .and_then(|rhs| rhs.matmul_with(isa, a))
+        .map_err(|_| ShapeError::ShapeMismatch { lhs: a.shape().to_vec(), rhs: b.shape().to_vec() })
 }
 
-/// Generates one narrow-accumulator matmul path: operands are demoted once
-/// (`O(mk + kn)`), the `O(mkn)` accumulation runs wrapping mod the
-/// accumulator width through the given `axpy`/`axpy2` kernels, and the
-/// ring mask is applied at write-out — bit-identical to the `u64` path
+/// The right operand `B[k,n]` of a ring GEMM, demoted once to the
+/// accumulator width its ring needs: `u16` for ℓ ≤ 16, `u32` for ℓ ≤ 32
+/// (every paper configuration), else `u64`, borrowed from the tensor
+/// without a copy.
+///
+/// The GEMM's right operand is session-constant where it is hottest —
+/// the opened weight mask `F`, a weight share `W_i`, a lane's `B` — so a
+/// prepared model builds each one once and multiplies many left
+/// operands against it. [`ring_matmul`] is this type used once.
+///
+/// The kernel is cache-blocked with **deferred masking**: because the
+/// ring modulus `2^ℓ` divides the accumulator modulus, the inner loops
+/// accumulate with plain `wrapping_mul`/`wrapping_add` and the ring mask
+/// is applied exactly once per output element at write-out —
+/// bit-identical to reducing after every MAC (DESIGN.md §7.1). The
+/// narrow accumulators double/quadruple SIMD lane counts. Output rows are
+/// processed in register-blocked quads (one pass over each pair of `B`
+/// rows updates four `C` rows through the `axpy2` kernels) on the
+/// caller's thread. The u16 accumulator always runs the autovectorized
+/// scalar kernels; `isa` picks the hand-written u32/u64 kernels from
+/// [`aq2pnn_ring::simd`], which only moves *when* the answer is ready,
+/// never *what* it is. [`ring_matmul_reference`] keeps the scalar triple
+/// loop for cross-checking.
+#[derive(Clone)]
+pub struct MatRhs<'a> {
+    ring: Ring,
+    k: usize,
+    n: usize,
+    words: RhsWords<'a>,
+}
+
+#[derive(Clone)]
+enum RhsWords<'a> {
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+    U64(Cow<'a, [u64]>),
+}
+
+/// `Debug` redacts the operand words: a `MatRhs` holds a weight share or
+/// a triple's `B`. The ring and shape are public geometry.
+impl fmt::Debug for MatRhs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MatRhs")
+            .field("ring_bits", &self.ring.bits())
+            .field("shape", &[self.k, self.n])
+            .field("values", &"<redacted>")
+            .finish()
+    }
+}
+
+impl<'a> MatRhs<'a> {
+    /// Demotes the rank-2 tensor `b` to its accumulator width. On a ring
+    /// wider than 32 bits the words are borrowed, not copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError::ShapeMismatch`] if `b` is not rank-2.
+    #[allow(clippy::cast_possible_truncation)] // ring values fit the accumulator by the width guard
+    pub fn new(b: &'a RingTensor) -> Result<Self, ShapeError> {
+        let &[k, n] = b.shape() else {
+            return Err(ShapeError::ShapeMismatch { lhs: b.shape().to_vec(), rhs: vec![0, 0] });
+        };
+        let ring = b.ring();
+        let db = b.as_slice();
+        let words = if ring.bits() <= 16 {
+            RhsWords::U16(db.iter().map(|&v| v as u16).collect())
+        } else if ring.bits() <= 32 {
+            RhsWords::U32(db.iter().map(|&v| v as u32).collect())
+        } else {
+            RhsWords::U64(Cow::Borrowed(db))
+        };
+        Ok(MatRhs { ring, k, n, words })
+    }
+
+    /// Detaches the operand from the tensor it was built from (copies the
+    /// words once on a ring wider than 32 bits).
+    #[must_use]
+    pub fn into_owned(self) -> MatRhs<'static> {
+        let words = match self.words {
+            RhsWords::U16(w) => RhsWords::U16(w),
+            RhsWords::U32(w) => RhsWords::U32(w),
+            RhsWords::U64(w) => RhsWords::U64(Cow::Owned(w.into_owned())),
+        };
+        MatRhs { ring: self.ring, k: self.k, n: self.n, words }
+    }
+
+    /// The ring the operand lives in.
+    #[must_use]
+    pub fn ring(&self) -> Ring {
+        self.ring
+    }
+
+    /// `[k, n]`.
+    #[must_use]
+    pub fn shape(&self) -> [usize; 2] {
+        [self.k, self.n]
+    }
+
+    /// `a ⊗ self` on the kernels of [`IsaLevel::active`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError::ShapeMismatch`] if `a` is not `[m, k]` on
+    /// this operand's ring.
+    pub fn matmul(&self, a: &RingTensor) -> Result<RingTensor, ShapeError> {
+        self.matmul_with(IsaLevel::active(), a)
+    }
+
+    /// [`MatRhs::matmul`] on an explicit ISA level. The left operand is
+    /// demoted per call (it is the per-inference side); the right one
+    /// never is.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError::ShapeMismatch`] if `a` is not `[m, k]` on
+    /// this operand's ring.
+    #[allow(clippy::cast_possible_truncation)] // ring values fit the accumulator by the width guard
+    pub fn matmul_with(&self, isa: IsaLevel, a: &RingTensor) -> Result<RingTensor, ShapeError> {
+        let ring = self.ring;
+        if a.ring() != ring || a.shape().len() != 2 || a.shape()[1] != self.k {
+            return Err(ShapeError::ShapeMismatch {
+                lhs: a.shape().to_vec(),
+                rhs: vec![self.k, self.n],
+            });
+        }
+        let (m, k, n) = (a.shape()[0], self.k, self.n);
+        let da = a.as_slice();
+        let out = match &self.words {
+            RhsWords::U16(db) => {
+                let an: Vec<u16> = da.iter().map(|&v| v as u16).collect();
+                let kernels = (scalar::axpy_u16 as AxpyFn<u16>, scalar::axpy2_u16 as Axpy2Fn<u16>);
+                matmul_u16(kernels, ring, m, k, n, &an, db)
+            }
+            RhsWords::U32(db) => {
+                let an: Vec<u32> = da.iter().map(|&v| v as u32).collect();
+                let kernels = (simd::axpy_u32_for(isa), simd::axpy2_u32_for(isa));
+                matmul_u32(kernels, ring, m, k, n, &an, db)
+            }
+            RhsWords::U64(db) => {
+                let kernels = (simd::axpy_u64_for(isa), simd::axpy2_u64_for(isa));
+                matmul_u64(kernels, ring, m, k, n, da, db)
+            }
+        };
+        RingTensor::from_raw(ring, vec![m, n], out)
+    }
+}
+
+type AxpyFn<T> = fn(&mut [T], T, &[T]);
+type Axpy2Fn<T> = fn(&mut [T], T, &[T], T, &[T]);
+
+/// Generates the matmul for one accumulator width: the `O(mkn)`
+/// accumulation runs wrapping mod the accumulator width through the given
+/// `axpy`/`axpy2` kernels over operands already at that width, and the
+/// ring mask is applied at write-out — bit-identical to the reference
 /// because `2^ℓ` divides the accumulator modulus.
-macro_rules! narrow_matmul {
+macro_rules! width_matmul {
     ($name:ident, $row_fn:ident, $quad_fn:ident, $t:ty) => {
-        #[allow(clippy::cast_possible_truncation)] // ring values fit the accumulator by the width guard
         fn $name(
-            (axpy, axpy2): (fn(&mut [$t], $t, &[$t]), fn(&mut [$t], $t, &[$t], $t, &[$t])),
+            (axpy, axpy2): (AxpyFn<$t>, Axpy2Fn<$t>),
             ring: Ring,
             m: usize,
             k: usize,
             n: usize,
-            da: &[u64],
-            db: &[u64],
+            an: &[$t],
+            bn: &[$t],
         ) -> Vec<u64> {
-            let an: Vec<$t> = da.iter().map(|&v| v as $t).collect();
-            let bn: Vec<$t> = db.iter().map(|&v| v as $t).collect();
+            // The mask fits the accumulator by the width guard.
+            #[allow(clippy::cast_possible_truncation)]
             let mask = ring.mask() as $t;
             let mut out = vec![0 as $t; m * n];
             let mut rows: Vec<&mut [$t]> = out.chunks_mut(n.max(1)).collect();
@@ -184,26 +274,21 @@ macro_rules! narrow_matmul {
                             &an[(i0 + 2) * k..][..k],
                             &an[(i0 + 3) * k..][..k],
                         ],
-                        &bn,
+                        bn,
                         n,
                     );
                 } else {
                     for (t, row) in quad.iter_mut().enumerate() {
-                        $row_fn(axpy, row, &an[(i0 + t) * k..][..k], &bn, n);
+                        $row_fn(axpy, row, &an[(i0 + t) * k..][..k], bn, n);
                     }
                 }
             }
+            // Deferred masking: one reduction per element, at write-out.
             out.into_iter().map(|v| u64::from(v & mask)).collect()
         }
 
         /// Accumulates `A[i,:] ⊗ B` into one unreduced output row.
-        fn $row_fn(
-            axpy: fn(&mut [$t], $t, &[$t]),
-            row: &mut [$t],
-            a_row: &[$t],
-            db: &[$t],
-            n: usize,
-        ) {
+        fn $row_fn(axpy: AxpyFn<$t>, row: &mut [$t], a_row: &[$t], db: &[$t], n: usize) {
             for (p, &av) in a_row.iter().enumerate() {
                 if av == 0 {
                     continue;
@@ -217,8 +302,8 @@ macro_rules! narrow_matmul {
         /// halving the dominant row load/store traffic versus one `k` step
         /// at a time and reusing each loaded `B` lane four times.
         fn $quad_fn(
-            axpy: fn(&mut [$t], $t, &[$t]),
-            axpy2: fn(&mut [$t], $t, &[$t], $t, &[$t]),
+            axpy: AxpyFn<$t>,
+            axpy2: Axpy2Fn<$t>,
             rows: [&mut &mut [$t]; 4],
             a_rows: [&[$t]; 4],
             db: &[$t],
@@ -259,67 +344,9 @@ macro_rules! narrow_matmul {
     };
 }
 
-narrow_matmul!(matmul_narrow_u16, accumulate_row_u16, accumulate_quad_u16, u16);
-narrow_matmul!(matmul_narrow_u32, accumulate_row_u32, accumulate_quad_u32, u32);
-
-/// Accumulates `A[i,:] ⊗ B` into one unreduced output row (mod `2^64`).
-fn accumulate_row_u64(
-    axpy: fn(&mut [u64], u64, &[u64]),
-    row: &mut [u64],
-    a_row: &[u64],
-    db: &[u64],
-    n: usize,
-) {
-    for (p, &av) in a_row.iter().enumerate() {
-        if av == 0 {
-            continue;
-        }
-        axpy(row, av, &db[p * n..p * n + n]);
-    }
-}
-
-/// Register-blocked `u64` quad kernel: one streaming pass over each pair
-/// of `B` rows feeds four unreduced output rows through `axpy2`.
-fn accumulate_quad_u64(
-    axpy: fn(&mut [u64], u64, &[u64]),
-    axpy2: fn(&mut [u64], u64, &[u64], u64, &[u64]),
-    rows: [&mut &mut [u64]; 4],
-    a_rows: [&[u64]; 4],
-    db: &[u64],
-    n: usize,
-) {
-    let [r0, r1, r2, r3] = rows;
-    let (r0, r1, r2, r3) = (&mut r0[..n], &mut r1[..n], &mut r2[..n], &mut r3[..n]);
-    let [a0, a1, a2, a3] = a_rows;
-    let k = a0.len();
-    let mut p = 0;
-    while p + 2 <= k {
-        let (v0, v1, v2, v3) = (a0[p], a1[p], a2[p], a3[p]);
-        let (w0, w1, w2, w3) = (a0[p + 1], a1[p + 1], a2[p + 1], a3[p + 1]);
-        if v0 | v1 | v2 | v3 | w0 | w1 | w2 | w3 == 0 {
-            p += 2;
-            continue;
-        }
-        let bp = &db[p * n..p * n + n];
-        let bq = &db[(p + 1) * n..(p + 1) * n + n];
-        axpy2(r0, v0, bp, w0, bq);
-        axpy2(r1, v1, bp, w1, bq);
-        axpy2(r2, v2, bp, w2, bq);
-        axpy2(r3, v3, bp, w3, bq);
-        p += 2;
-    }
-    while p < k {
-        let (v0, v1, v2, v3) = (a0[p], a1[p], a2[p], a3[p]);
-        if v0 | v1 | v2 | v3 != 0 {
-            let bp = &db[p * n..p * n + n];
-            axpy(r0, v0, bp);
-            axpy(r1, v1, bp);
-            axpy(r2, v2, bp);
-            axpy(r3, v3, bp);
-        }
-        p += 1;
-    }
-}
+width_matmul!(matmul_u16, accumulate_row_u16, accumulate_quad_u16, u16);
+width_matmul!(matmul_u32, accumulate_row_u32, accumulate_quad_u32, u32);
+width_matmul!(matmul_u64, accumulate_row_u64, accumulate_quad_u64, u64);
 
 /// Scalar reference matrix multiplication: the original triple loop with a
 /// full ring reduction after every multiply-accumulate.

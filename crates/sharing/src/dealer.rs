@@ -9,8 +9,8 @@
 //! randomness and hands each party its half. The online protocol —
 //! everything the paper measures — is unchanged.
 
-use crate::beaver::{ring_hadamard, ring_matmul, TripleShare};
-use crate::{AShare, PartyId};
+use crate::beaver::{ring_hadamard, ring_matmul, MatRhs, TripleShare};
+use crate::AShare;
 use aq2pnn_ring::{Ring, RingTensor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
@@ -87,29 +87,34 @@ impl TripleDealer {
     }
 
     /// Creates the two parties' halves of a reusable expanded-triple lane
-    /// for one static-shape layer (see [`TripleLane`]). Consumes dealer
-    /// stream state, so both parties must call in the same order with the
-    /// same arguments.
+    /// for one static-shape layer (see [`TripleLane`]), each with that
+    /// party's share of the lane's fixed `B` for the one-time `F = W − B`
+    /// opening. Consumes dealer stream state, so both parties must call in
+    /// the same order with the same arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b_shape` is not rank-2.
     pub fn expanded_lane(
         &mut self,
         ring: Ring,
         a_shape: &[usize],
         b_shape: &[usize],
-    ) -> (TripleLane, TripleLane) {
+    ) -> ((TripleLane, RingTensor), (TripleLane, RingTensor)) {
         let b = RingTensor::random(ring, b_shape.to_vec(), &mut self.rng);
         let (b0, b1) = AShare::share(&b, &mut self.rng);
         // Lane-local PRG, identical on both halves so the parties advance
         // their per-inference triple streams in lockstep.
         let lane_rng = ChaCha20Rng::seed_from_u64(self.rng.gen::<u64>());
-        let lane = |b_share: AShare, party: PartyId| TripleLane {
+        let lane = |b_plain: Option<MatRhs<'static>>| TripleLane {
             ring,
             a_shape: a_shape.to_vec(),
-            b_plain: b.clone(),
-            b_share: b_share.into_tensor(),
+            n: b_shape[1],
+            b_plain,
             rng: lane_rng.clone(),
-            party,
         };
-        (lane(b0, PartyId::User), lane(b1, PartyId::ModelProvider))
+        let b_plain = MatRhs::new(&b).expect("lane B is rank-2").into_owned();
+        ((lane(None), b0.into_tensor()), (lane(Some(b_plain)), b1.into_tensor()))
     }
 
     /// Samples an elementwise (Hadamard) triple over `shape`.
@@ -155,6 +160,31 @@ impl TripleDealer {
     }
 }
 
+/// One party's share of one lane draw: a fresh input mask `A` and the
+/// product `Z = expand(A) ⊗ B` against the lane's fixed `B`. It carries
+/// no `B` share: `B` is fixed for the lane's lifetime and its `F = W − B`
+/// was opened once, at preparation time.
+#[derive(Clone, PartialEq, Eq)]
+pub struct LaneTriple {
+    /// Share of the compact input mask `A` (the lane's `a_shape`).
+    pub a: RingTensor,
+    /// Share of `Z = expand(A) ⊗ B` (`[rows of expand(A), n]`).
+    pub z: RingTensor,
+}
+
+/// `Debug` redacts the mask words, as [`TripleShare`]'s does: a party's
+/// `A` share unmasks the opened `E = IN − A`. Shapes are public geometry.
+impl std::fmt::Debug for LaneTriple {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LaneTriple")
+            .field("ring_bits", &self.a.ring().bits())
+            .field("a_shape", &self.a.shape())
+            .field("z_shape", &self.z.shape())
+            .field("values", &"<redacted>")
+            .finish()
+    }
+}
+
 /// One party's half of a reusable per-layer triple stream — the offline
 /// material a *prepared* model keeps resident between inferences.
 ///
@@ -171,13 +201,15 @@ impl TripleDealer {
 pub struct TripleLane {
     ring: Ring,
     a_shape: Vec<usize>,
-    // Dealer-held plaintext B, needed to form Z. Holding it inside the
-    // lane keeps the trusted-dealer model of this crate: the dealer state
-    // embedded in each party's context already sees all plaintext masks.
-    b_plain: RingTensor,
-    b_share: RingTensor,
+    /// Columns of `B` (and of every `Z`).
+    n: usize,
+    // Dealer-held plaintext B, pre-demoted for the Z product. Holding it
+    // inside the lane keeps the trusted-dealer model of this crate: the
+    // dealer state embedded in each party's context already sees all
+    // plaintext masks. Only party 1's half holds it: party 0's `Z` share
+    // is the random half of the split, so its draws never form `Z`.
+    b_plain: Option<MatRhs<'static>>,
     rng: ChaCha20Rng,
-    party: PartyId,
 }
 
 impl TripleLane {
@@ -193,27 +225,29 @@ impl TripleLane {
         &self.a_shape
     }
 
-    /// This party's share of the static weight mask `B`, for the one-time
-    /// `F = W − B` opening at preparation time.
-    #[must_use]
-    pub fn b_share(&self) -> &RingTensor {
-        &self.b_share
-    }
-
     /// Draws this party's share of the next triple: a fresh `A` and
     /// `Z = expand(A) ⊗ B` against the lane's fixed `B`. Both parties must
     /// call in lockstep with the same (public, linear) `expand`.
-    pub fn next(&mut self, expand: impl Fn(&RingTensor) -> RingTensor) -> TripleShare {
+    ///
+    /// Both halves consume the lane PRG identically — `A`, then `A`'s
+    /// split, then `Z`'s split — so party 0 draws its shares as the random
+    /// halves of those splits without computing the product.
+    pub fn next(&mut self, expand: impl Fn(&RingTensor) -> RingTensor) -> LaneTriple {
         let a = RingTensor::random(self.ring, self.a_shape.clone(), &mut self.rng);
-        let z =
-            ring_matmul(&expand(&a), &self.b_plain).expect("expand(A) must be conformable with B");
+        let a_ex = expand(&a);
         let (a0, a1) = AShare::share(&a, &mut self.rng);
-        let (z0, z1) = AShare::share(&z, &mut self.rng);
-        let (a_i, z_i) = match self.party {
-            PartyId::User => (a0, z0),
-            PartyId::ModelProvider => (a1, z1),
-        };
-        TripleShare { a: a_i.into_tensor(), b: self.b_share.clone(), z: z_i.into_tensor() }
+        match &self.b_plain {
+            None => {
+                let z_shape = vec![a_ex.shape()[0], self.n];
+                let z0 = RingTensor::random(self.ring, z_shape, &mut self.rng);
+                LaneTriple { a: a0.into_tensor(), z: z0 }
+            }
+            Some(b) => {
+                let z = b.matmul(&a_ex).expect("expand(A) must be conformable with B");
+                let (_z0, z1) = AShare::share(&z, &mut self.rng);
+                LaneTriple { a: a1.into_tensor(), z: z1.into_tensor() }
+            }
+        }
     }
 }
 
@@ -276,17 +310,18 @@ mod tests {
     fn lane_triples_consistent_with_fixed_b_and_fresh_a() {
         let mut d = TripleDealer::from_seed(11);
         let q = Ring::new(16);
-        let (mut l0, mut l1) = d.expanded_lane(q, &[3, 4], &[4, 2]);
+        let ((mut l0, b0), (mut l1, b1)) = d.expanded_lane(q, &[3, 4], &[4, 2]);
+        let b = b0.add(&b1).unwrap();
         let ident = |t: &RingTensor| t.clone();
         let (t0a, t1a) = (l0.next(ident), l1.next(ident));
         let (t0b, t1b) = (l0.next(ident), l1.next(ident));
+        let open_a = |t0: &LaneTriple, t1: &LaneTriple| t0.a.add(&t1.a).unwrap();
         for (t0, t1) in [(&t0a, &t1a), (&t0b, &t1b)] {
-            let (a, b, z) = rec(t0, t1);
-            assert_eq!(z, ring_matmul(&a, &b).unwrap());
+            // Every draw is a triple against the lane's one fixed B.
+            assert_eq!(t0.z.add(&t1.z).unwrap(), ring_matmul(&open_a(t0, t1), &b).unwrap());
         }
-        // B is the lane's fixed pre-deployed mask; A must be fresh.
-        assert_eq!(t0a.b, t0b.b);
-        assert_ne!(rec(&t0a, &t1a).0, rec(&t0b, &t1b).0);
+        // A must be fresh per draw.
+        assert_ne!(open_a(&t0a, &t1a), open_a(&t0b, &t1b));
     }
 
     #[test]

@@ -2,8 +2,10 @@
 
 use aq2pnn_ring::{IsaLevel, Ring, RingTensor};
 use aq2pnn_sharing::a2b::{group_count, group_widths, join_groups, split_groups};
-use aq2pnn_sharing::beaver::{ring_hadamard, ring_matmul, ring_matmul_reference, ring_matmul_with};
-use aq2pnn_sharing::dealer::TripleDealer;
+use aq2pnn_sharing::beaver::{
+    ring_hadamard, ring_matmul, ring_matmul_reference, ring_matmul_with, MatRhs,
+};
+use aq2pnn_sharing::dealer::{LaneTriple, TripleDealer};
 use aq2pnn_sharing::{trunc, AShare, BShare, PartyId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -179,28 +181,33 @@ proptest! {
 /// only reach the kernels' scalar tails; the GEMM shapes the workloads
 /// run (LeNet5 conv2/fc1, the VGG tail conv at batch 1 and 4 rows of
 /// batch 8 … 32) and an `m ≡ 3 (mod 4)` quad remainder run the vector
-/// bodies too, at the widths where a hand-written kernel is picked.
+/// bodies too, at the widths where a hand-written kernel is picked. Each
+/// right operand is also demoted once into a [`MatRhs`] and reused across
+/// several left operands, as a prepared model reuses `F` and `W_i`.
 #[test]
 fn dispatch_matmul_bit_identical_at_boundary_widths() {
-    let check = |m: usize, k: usize, n: usize, widths: &[u32], rng: &mut StdRng| {
+    let check = |m: usize, k: usize, n: usize, lefts: usize, widths: &[u32], rng: &mut StdRng| {
         for &bits in widths {
             let ring = Ring::new(bits);
-            let a = RingTensor::random(ring, vec![m, k], rng);
             let b = RingTensor::random(ring, vec![k, n], rng);
-            let want = ring_matmul_reference(&a, &b).unwrap();
-            for isa in IsaLevel::available() {
-                assert_eq!(
-                    ring_matmul_with(isa, &a, &b).unwrap(),
-                    want,
-                    "isa={isa} bits={bits} shape={m}x{k}x{n}"
-                );
+            let rhs = MatRhs::new(&b).unwrap();
+            for left in 0..lefts {
+                let a = RingTensor::random(ring, vec![m, k], rng);
+                let want = ring_matmul_reference(&a, &b).unwrap();
+                for isa in IsaLevel::available() {
+                    let at = format!("isa={isa} bits={bits} shape={m}x{k}x{n} left={left}");
+                    assert_eq!(rhs.matmul_with(isa, &a).unwrap(), want, "reused MatRhs, {at}");
+                    if left == 0 {
+                        assert_eq!(ring_matmul_with(isa, &a, &b).unwrap(), want, "{at}");
+                    }
+                }
             }
         }
     };
     let mut rng = StdRng::seed_from_u64(0x5eed_0d15);
     for _ in 0..64 {
         let (m, k, n) = (rng.gen_range(1..10), rng.gen_range(1..10), rng.gen_range(1..10));
-        check(m, k, n, &[11, 12, 13, 15, 16, 17, 20, 21, 31, 32, 33], &mut rng);
+        check(m, k, n, 3, &[11, 12, 13, 15, 16, 17, 20, 21, 31, 32, 33], &mut rng);
     }
     let workload_shapes = [
         (100, 150, 16),  // LeNet5 conv2
@@ -210,6 +217,83 @@ fn dispatch_matmul_bit_identical_at_boundary_widths() {
         (7, 33, 47),     // m ≡ 3 (mod 4) quad remainder, odd k and n tails
     ];
     for (m, k, n) in workload_shapes {
-        check(m, k, n, &[16, 20, 32, 33], &mut rng);
+        check(m, k, n, 2, &[16, 20, 32, 33], &mut rng);
+    }
+}
+
+proptest! {
+    /// The regrouping that lets party 1 evaluate paper Eq. 1 in two GEMMs:
+    /// `(X − E)⊗F + E⊗W ≡ X⊗F + E⊗W − E⊗F (mod 2^ℓ)`, with `F` and `W`
+    /// held as [`MatRhs`] on the left side and the reference kernel on
+    /// the right, at every accumulator width.
+    #[test]
+    fn eq1_regrouping_is_exact(
+        bits in 2u32..=64,
+        (m, k, n) in (1usize..9, 1usize..9, 1usize..9),
+        seed in any::<u64>(),
+    ) {
+        let ring = Ring::new(bits);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = RingTensor::random(ring, vec![m, k], &mut rng);
+        let e = RingTensor::random(ring, vec![m, k], &mut rng);
+        let f = RingTensor::random(ring, vec![k, n], &mut rng);
+        let w = RingTensor::random(ring, vec![k, n], &mut rng);
+        let (f_rhs, w_rhs) = (MatRhs::new(&f).unwrap(), MatRhs::new(&w).unwrap());
+        let two_gemms =
+            f_rhs.matmul(&x.sub(&e).unwrap()).unwrap().add(&w_rhs.matmul(&e).unwrap()).unwrap();
+        let reference = |l: &RingTensor, r: &RingTensor| ring_matmul_reference(l, r).unwrap();
+        let three_gemms =
+            reference(&x, &f).add(&reference(&e, &w)).unwrap().sub(&reference(&e, &f)).unwrap();
+        prop_assert_eq!(two_gemms, three_gemms);
+    }
+}
+
+/// FNV-1a 64 over the little-endian words of `a` then `z` of each draw.
+fn lane_stream_fingerprint(draws: &[LaneTriple]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for t in draws {
+        for w in t.a.as_slice().iter().chain(t.z.as_slice()) {
+            for byte in w.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Both halves of a lane reconstruct `Z = expand(A) ⊗ B` on every draw,
+/// under an `expand` that changes the row count (the rows are stacked
+/// twice, as im2col duplicates them). Party 0 no longer forms `Z` — its
+/// shares are the random halves of the splits — and its stream must be
+/// the one it drew when it did: the fingerprints were captured from
+/// `TripleLane::next` at 3802828, before the change.
+#[test]
+fn lane_streams_reconstruct_z_and_party0_stream_is_unchanged() {
+    let stacked = |t: &RingTensor| {
+        let mut d = t.as_slice().to_vec();
+        d.extend_from_slice(t.as_slice());
+        RingTensor::from_raw(t.ring(), vec![2 * t.shape()[0], t.shape()[1]], d).unwrap()
+    };
+    let pinned = [
+        (12u32, 0x43b0_f823_c118_b991u64),
+        (16, 0xf12a_118e_73c5_8781),
+        (32, 0x4f2c_207a_1d04_65e6),
+        (40, 0xda2e_de0e_a13f_74a5),
+    ];
+    for (bits, want) in pinned {
+        let mut d = TripleDealer::from_seed(0x1a7e_0000 + u64::from(bits));
+        let ((mut l0, b0), (mut l1, b1)) = d.expanded_lane(Ring::new(bits), &[3, 5], &[5, 7]);
+        let b = b0.add(&b1).unwrap();
+        let (mut draws0, mut draws1) = (Vec::new(), Vec::new());
+        for _ in 0..3 {
+            draws0.push(l0.next(stacked));
+            draws1.push(l1.next(stacked));
+        }
+        for (t0, t1) in draws0.iter().zip(&draws1) {
+            let a = t0.a.add(&t1.a).unwrap();
+            let z = t0.z.add(&t1.z).unwrap();
+            assert_eq!(z, ring_matmul_reference(&stacked(&a), &b).unwrap(), "bits={bits}");
+        }
+        assert_eq!(lane_stream_fingerprint(&draws0), want, "bits={bits}: party 0's stream moved");
     }
 }

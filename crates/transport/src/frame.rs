@@ -121,20 +121,15 @@ impl Frame {
     /// Serializes the frame (header + checksum + payload).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(self.kind.to_byte());
-        out.extend_from_slice(&self.stream.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.ack.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let mut crc = Crc32::new();
-        crc.update(&out[..32]);
-        crc.update(&self.payload);
-        out.extend_from_slice(&crc.finish().to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        encode_parts(self.kind, self.stream, self.seq, self.ack, &self.payload)
+    }
+
+    /// Serializes a Data frame on `stream` straight from a borrowed
+    /// payload: the bytes of `Frame::data(seq, payload).on_stream(stream)
+    /// .encode()`, with the payload copied once, into the frame.
+    #[must_use]
+    pub fn encode_data(stream: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
+        encode_parts(FrameKind::Data, stream, seq, 0, payload)
     }
 
     /// Parses and validates one frame.
@@ -183,6 +178,24 @@ impl Frame {
         }
         Ok(Frame { kind, stream, seq, ack, payload: bytes[FRAME_HEADER_LEN..].to_vec() })
     }
+}
+
+/// Header, checksum and payload of one frame, in one allocation.
+fn encode_parts(kind: FrameKind, stream: u64, seq: u64, ack: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(kind.to_byte());
+    out.extend_from_slice(&stream.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&ack.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&out[..32]);
+    crc.update(payload);
+    out.extend_from_slice(&crc.finish().to_le_bytes());
+    out.extend_from_slice(payload);
+    out
 }
 
 /// Incremental CRC-32 (IEEE 802.3 polynomial, reflected).
@@ -264,6 +277,14 @@ mod tests {
         let back = Frame::decode(&d.encode()).unwrap();
         assert_eq!(back.stream, 0xDEAD_BEEF_CAFE);
         assert_eq!(back, d);
+    }
+
+    #[test]
+    fn encode_data_matches_encoding_a_built_frame() {
+        for payload in [Vec::new(), vec![1, 2, 3, 250], (0..=255).collect()] {
+            let built = Frame::data(9, payload.clone()).on_stream(0xDEAD_BEEF_CAFE).encode();
+            assert_eq!(Frame::encode_data(0xDEAD_BEEF_CAFE, 9, &payload), built);
+        }
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl Session {
 impl Transport for Session {
     fn send(&self, bytes: Bytes) -> Result<(), TransportError> {
         let seq = self.next_send_seq.fetch_add(1, Ordering::Relaxed);
-        let encoded = Frame::data(seq, bytes.to_vec()).on_stream(self.stream).encode();
+        let encoded = Frame::encode_data(self.stream, seq, &bytes);
         {
             // Scoped: the capture guard is released before the blocking send.
             let mut capture = self.capture();

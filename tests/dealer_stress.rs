@@ -16,8 +16,7 @@
 use aq2pnn::dealer::{DealerConfig, DealerPool, ExhaustionPolicy, ExpandFn};
 use aq2pnn::{PartyContext, ProtocolConfig};
 use aq2pnn_ring::{Ring, RingTensor};
-use aq2pnn_sharing::beaver::TripleShare;
-use aq2pnn_sharing::dealer::TripleDealer;
+use aq2pnn_sharing::dealer::{LaneTriple, TripleDealer};
 use aq2pnn_sharing::PartyId;
 use aq2pnn_transport::duplex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,14 +34,15 @@ fn mpmc_storm_preserves_stream_order_and_wakeups() {
     let ctx = PartyContext::new(PartyId::User, e0, cfg, None);
 
     let mut dealer = TripleDealer::from_seed(0xdea1e5);
-    let (lane, _peer) = dealer.expanded_lane(Ring::new(16), &[1, 4], &[4, 3]);
+    // The provider's half: it forms `Z = expand(A) ⊗ B` on every draw, so
+    // the refill loop does real GEMM work while the consumers race it.
+    let (_user, (lane, _b_share)) = dealer.expanded_lane(Ring::new(16), &[1, 4], &[4, 3]);
 
     // The lane's RNG stream *is* the ground truth: a clone of the lane
     // replays exactly the material the pool will hand out.
     let mut reference = lane.clone();
-    let expected: Vec<TripleShare> =
-        (0..TOTAL).map(|_| reference.next(RingTensor::clone)).collect();
-    let index_of = |t: &TripleShare| expected.iter().position(|e| e == t);
+    let expected: Vec<LaneTriple> = (0..TOTAL).map(|_| reference.next(RingTensor::clone)).collect();
+    let index_of = |t: &LaneTriple| expected.iter().position(|e| e == t);
 
     let expand: ExpandFn = Box::new(RingTensor::clone);
     let pool = DealerPool::new(
@@ -54,7 +54,7 @@ fn mpmc_storm_preserves_stream_order_and_wakeups() {
 
     let slot = &pool.slots()[0];
     let remaining = AtomicUsize::new(TOTAL);
-    let per_consumer: Vec<Vec<TripleShare>> = std::thread::scope(|scope| {
+    let per_consumer: Vec<Vec<LaneTriple>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CONSUMERS)
             .map(|_| {
                 let remaining = &remaining;

@@ -9,6 +9,10 @@
 //!   drops from 11 236 to 6 508 elements.
 //! * The lowering applies exactly when the planner's headroom rule holds,
 //!   and a residual branch containing the block is lowered too.
+//! * Both parties' full transcripts (preparation and two online passes)
+//!   of LeNet5 and a tiny CNN are pinned by FNV-1a fingerprints, so a
+//!   local-compute change that claims to leave the wire alone is checked
+//!   byte for byte, not just by logits and byte counts.
 //!
 //! The share-level identity itself (padded / overlapping windows, batches,
 //! both `ReluMode`s) is the in-crate property test
@@ -17,13 +21,16 @@
 //! `tests/two_party_inference.rs`, which compare against the spec-order
 //! plaintext reference.
 
+use aq2pnn::engine::BatchInput;
 use aq2pnn::instq;
-use aq2pnn::sim::run_two_party;
+use aq2pnn::prepared::PreparedModel;
+use aq2pnn::sim::{run_pair, run_two_party};
 use aq2pnn::{ProtocolConfig, ReluMode};
 use aq2pnn_nn::data::SyntheticVision;
 use aq2pnn_nn::float::FloatNet;
 use aq2pnn_nn::quant::{QuantConfig, QuantModel, QuantOp, Requant};
 use aq2pnn_nn::spec::{ModelSpec, OpSpec, TensorShape};
+use aq2pnn_sharing::PartyId;
 use aq2pnn_transport::ChannelStats;
 
 /// splitmix64 stream of values in `[-127, 127]`.
@@ -235,3 +242,138 @@ fn residual_branch_block_is_lowered_and_exact() {
         assert_eq!(program.provider_bytes_sent(), run.provider_stats.bytes_sent, "mode {mode:?}");
     }
 }
+
+/// `tiny_cnn(4)`'s geometry (`zoo::tiny_cnn`: 3×16×16 input, two 3×3
+/// conv blocks, 256 → 32 → 4) with integer weights from a fixed splitmix64
+/// stream, for the same host-independence as [`lenet5_int`].
+fn tiny_cnn_int() -> (QuantModel, Vec<f32>) {
+    let mut s = IntStream(0x7e57_c0de);
+    let rq = |e: u32| Requant { mult: 24_576, shift: 15 + e };
+    let mut conv = |in_c: usize, out_c: usize, hw: usize, e: u32| QuantOp::Conv2d {
+        in_c,
+        out_c,
+        k: 3,
+        stride: 1,
+        pad: 1,
+        in_hw: (hw, hw),
+        out_hw: (hw, hw),
+        w: s.take(out_c * in_c * 9),
+        bias: s.take(out_c).iter().map(|b| b * 16).collect(),
+        requant: rq(e),
+    };
+    let conv1 = conv(3, 8, 16, 8);
+    let conv2 = conv(8, 16, 8, 9);
+    let mut fc = |in_f: usize, out_f: usize, e: u32| QuantOp::Linear {
+        in_f,
+        out_f,
+        w: s.take(out_f * in_f),
+        bias: s.take(out_f).iter().map(|b| b * 16).collect(),
+        requant: rq(e),
+    };
+    let fc1 = fc(256, 32, 10);
+    let fc2 = fc(32, 4, 8);
+    let pool = |c: usize, in_hw: usize| QuantOp::MaxPool {
+        k: 2,
+        stride: 2,
+        pad: 0,
+        c,
+        in_hw: (in_hw, in_hw),
+        out_hw: (in_hw / 2, in_hw / 2),
+    };
+    let ops = vec![
+        conv1,
+        QuantOp::Relu,
+        pool(8, 16),
+        conv2,
+        QuantOp::Relu,
+        pool(16, 8),
+        QuantOp::Flatten,
+        fc1,
+        QuantOp::Relu,
+        fc2,
+    ];
+    let model = QuantModel {
+        name: "tiny-cnn-int".into(),
+        input_shape: TensorShape::Chw(3, 16, 16),
+        ops,
+        input_scale: 1.0,
+        output_scale: 1.0,
+        act_bits: 8,
+        weight_bits: 8,
+    };
+    #[allow(clippy::cast_precision_loss)]
+    let image: Vec<f32> = s.take(3 * 16 * 16).iter().map(|&v| v as f32).collect();
+    (model, image)
+}
+
+/// One party's transcript, reduced to `(messages, FNV-1a 64)` over every
+/// message's length (8 bytes LE) followed by its bytes, in send order.
+fn fingerprint(messages: &[Vec<u8>]) -> (usize, u64) {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for msg in messages {
+        for &byte in (msg.len() as u64).to_le_bytes().iter().chain(msg) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    (messages.len(), h)
+}
+
+/// Both parties' fingerprints of one whole session: `prepare` (the
+/// `offline-f` openings) followed by two `run_batch` passes of `b`
+/// images each, the second pass on images derived from the first.
+fn session_fingerprints(
+    model: &QuantModel,
+    image: &[f32],
+    cfg: &ProtocolConfig,
+    b: usize,
+) -> ((usize, u64), (usize, u64)) {
+    let model = model.clone();
+    #[allow(clippy::cast_precision_loss)]
+    let images: Vec<Vec<f32>> = (0..2 * b)
+        .map(|i| image.iter().map(|&v| ((v as i64 + 37 * i as i64) % 128) as f32).collect())
+        .collect();
+    run_pair(cfg, move |ctx| {
+        ctx.ep.start_capture();
+        let mut prepared = PreparedModel::prepare(ctx, &model).expect("prepare");
+        for pass in images.chunks(b) {
+            let refs: Vec<&[f32]> = pass.iter().map(Vec::as_slice).collect();
+            let input = match ctx.id {
+                PartyId::User => BatchInput::User(&refs),
+                PartyId::ModelProvider => BatchInput::Provider { batch: b },
+            };
+            prepared.run_batch(ctx, input).expect("batched inference");
+        }
+        fingerprint(&ctx.ep.take_capture())
+    })
+}
+
+/// The wire is pinned, not just its length: these fingerprints were
+/// captured before the Beaver GEMM's right operands were pre-demoted and
+/// Eq. 1 was regrouped into two GEMMs per party, and any change to local
+/// compute must leave them as they are. LeNet5 and the tiny CNN run their
+/// GEMMs on `Q2 = 2^32` under `paper(16)` (the u32 accumulator);
+/// `paper(20)` puts the tiny CNN on `Q2 = 2^36` (the u64 one).
+#[test]
+fn session_transcripts_match_pinned_fingerprints() {
+    let (lenet, lenet_image) = lenet5_int();
+    let (tiny, tiny_image) = tiny_cnn_int();
+    let cases: [(&str, &QuantModel, &[f32], ProtocolConfig, usize); 4] = [
+        ("lenet5 paper(16) b1", &lenet, &lenet_image, ProtocolConfig::paper(16), 1),
+        ("lenet5 paper(16) b3", &lenet, &lenet_image, ProtocolConfig::paper(16), 3),
+        ("tiny_cnn paper(16) b1", &tiny, &tiny_image, ProtocolConfig::paper(16), 1),
+        ("tiny_cnn paper(20) b2", &tiny, &tiny_image, ProtocolConfig::paper(20), 2),
+    ];
+    for ((name, model, image, cfg, b), want) in cases.into_iter().zip(SESSION_FINGERPRINTS) {
+        let got = session_fingerprints(model, image, &cfg, b);
+        assert_eq!(got, want, "{name}: (user, provider) transcript fingerprints moved");
+    }
+}
+
+/// `(messages, FNV-1a 64)` for (user, provider), one row per case of
+/// [`session_transcripts_match_pinned_fingerprints`], captured at 3802828.
+const SESSION_FINGERPRINTS: [((usize, u64), (usize, u64)); 4] = [
+    ((49, 0x5be3_ca97_5e65_05a7), (49, 0x62bc_117a_9c14_c98b)),
+    ((49, 0xbdad_0f4f_cd03_92d8), (49, 0xa4ba_ef12_0433_7658)),
+    ((42, 0x4b30_8ab8_3d88_b808), (42, 0x45da_4673_2539_4860)),
+    ((42, 0xb002_6507_a88c_e313), (42, 0xc912_f187_8744_b30f)),
+];
