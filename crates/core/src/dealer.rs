@@ -635,11 +635,12 @@ mod tests {
     use super::*;
     use aq2pnn_ring::Ring;
     use aq2pnn_sharing::dealer::TripleDealer;
+    use aq2pnn_sharing::PartyId;
     use std::time::{Duration, Instant};
 
     fn tiny_lane(seed: u64) -> TripleLane {
         let mut dealer = TripleDealer::from_seed(seed);
-        let ((lane, _b), _peer) = dealer.expanded_lane(Ring::new(8), &[1, 2], &[2, 1]);
+        let (lane, _b) = dealer.expanded_lane(PartyId::User, Ring::new(8), &[1, 2], &[2, 1]);
         lane
     }
 
@@ -741,6 +742,7 @@ mod loom_tests {
     use super::*;
     use aq2pnn_ring::Ring;
     use aq2pnn_sharing::dealer::TripleDealer;
+    use aq2pnn_sharing::PartyId;
 
     /// A consumer draining a depth-1 pool races the background refill
     /// loop. Under every interleaving: takes must yield the lane's RNG
@@ -752,7 +754,7 @@ mod loom_tests {
         loom::model(|| {
             let mut dealer = TripleDealer::from_seed(7);
             // 1×1 shapes keep the state space small.
-            let ((lane, _b), _peer) = dealer.expanded_lane(Ring::new(8), &[1, 1], &[1, 1]);
+            let (lane, _b) = dealer.expanded_lane(PartyId::User, Ring::new(8), &[1, 1], &[1, 1]);
             let mut reference = lane.clone();
             let expected: Vec<LaneTriple> =
                 (0..3).map(|_| reference.next(RingTensor::clone)).collect();

@@ -144,7 +144,8 @@ pub fn secure_matmul_expanded(
     let triple = ctx.next_expanded_triple(ring, in_share.shape(), &[wshape[0], wshape[1]], &expand);
 
     // One-time opening of F = W − B (offline phase, pre-deployed mask).
-    let f = open_weight_mask(ctx, w_share, &triple.b)?;
+    let w = MatRhs::new(w_share.as_tensor())?;
+    let f = open_weight_mask(ctx, &w, &triple.b)?;
 
     let item_shape = in_share.shape().to_vec();
     let TripleShare { a, z, .. } = triple;
@@ -153,7 +154,7 @@ pub fn secure_matmul_expanded(
         in_share,
         1,
         &item_shape,
-        &MatRhs::new(w_share.as_tensor())?,
+        &w,
         &MatRhs::new(&f)?,
         &[LaneTriple { a, z }],
         expand,
@@ -174,21 +175,21 @@ pub fn secure_matmul_expanded(
 /// mismatched message sizes.
 pub fn open_weight_mask(
     ctx: &mut PartyContext,
-    w_share: &AShare,
+    w_share: &MatRhs<'_>,
     b_share: &RingTensor,
 ) -> Result<RingTensor, ProtocolError> {
     let ring = w_share.ring();
     // Scope guard (not a manual save/restore pair): the online label comes
     // back even on the error paths below, and nested scopes stay correct.
     let _offline = ctx.ep.phase_scope("offline-f");
-    let f_share = w_share.as_tensor().sub(b_share)?;
+    let f_share = w_share.sub(b_share)?;
     let f_peer = ctx.ep.exchange_bits(f_share.as_slice(), ring.bits(), f_share.len())?;
     if f_peer.len() != f_share.len() {
         return Err(ProtocolError::Desync("offline F exchange size mismatch".into()));
     }
     let f = RingTensor::from_raw(
         ring,
-        w_share.shape().to_vec(),
+        f_share.shape().to_vec(),
         f_share.as_slice().iter().zip(&f_peer).map(|(&a, &b)| ring.add(a, b)).collect(),
     )?;
     Ok(f)

@@ -160,11 +160,7 @@ impl PartyContext {
         a_shape: &[usize],
         b_shape: &[usize],
     ) -> (TripleLane, RingTensor) {
-        let (l0, l1) = self.dealer.expanded_lane(ring, a_shape, b_shape);
-        match self.id {
-            PartyId::User => l0,
-            PartyId::ModelProvider => l1,
-        }
+        self.dealer.expanded_lane(self.id, ring, a_shape, b_shape)
     }
 
     /// Draws this party's half of the next elementwise Beaver triple.

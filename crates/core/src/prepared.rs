@@ -94,19 +94,20 @@ struct PreparedOp {
 }
 
 enum PreparedKind {
-    /// `w` (this party's weight share) and `f` (the opened `F = W − B`)
-    /// are the GEMM's session-constant right operands, demoted once at
-    /// bind.
+    /// `w` (this party's weight share, demoted once per template and
+    /// shared by every session bound to it) and `f` (the opened
+    /// `F = W − B`, demoted once at bind) are the GEMM's session-constant
+    /// right operands.
     Conv2d {
         geom: ConvGeometry,
-        w: MatRhs<'static>,
+        w: Arc<MatRhs<'static>>,
         bias: AShare,
         f: MatRhs<'static>,
         source: TripleSource,
         requant: Requant,
     },
     Linear {
-        w: MatRhs<'static>,
+        w: Arc<MatRhs<'static>>,
         bias: AShare,
         f: MatRhs<'static>,
         source: TripleSource,
@@ -361,9 +362,11 @@ struct TemplateOp {
 }
 
 enum TemplateKind {
+    /// `w` is this party's weight share, demoted for the GEMM; each bind
+    /// also subtracts its lane's `B` share from it for the `F` opening.
     Conv2d {
         geom: ConvGeometry,
-        w_mat: AShare,
+        w: Arc<MatRhs<'static>>,
         bias: AShare,
         /// Activation shape *entering* the layer — fixes the compact
         /// triple shape the bound lane must draw.
@@ -372,7 +375,7 @@ enum TemplateKind {
         requant: Requant,
     },
     Linear {
-        w_mat: AShare,
+        w: Arc<MatRhs<'static>>,
         bias: AShare,
         a_shape: Vec<usize>,
         out_shape: Vec<usize>,
@@ -472,27 +475,27 @@ fn bind_ops(ctx: &mut PartyContext, ops: &[TemplateOp]) -> Result<Vec<PreparedOp
     for op in ops {
         let idx = op.idx;
         let kind = match &op.kind {
-            TemplateKind::Conv2d { geom, w_mat, bias, a_shape, out_shape, requant } => {
+            TemplateKind::Conv2d { geom, w, bias, a_shape, out_shape, requant } => {
                 let span = ctx.span_begin(format!("conv{idx}"), CAT_OFFLINE, &[]);
-                let (lane, b_share) = ctx.expanded_lane(q2, a_shape, w_mat.shape());
-                let (w, f) = gemm_operands(ctx, w_mat, &b_share)?;
+                let (lane, b_share) = ctx.expanded_lane(q2, a_shape, &w.shape());
+                let f = weight_mask_operand(ctx, w, &b_share)?;
                 ctx.span_end_with(span, &[(ARG_SHAPE, shape_str(out_shape).into())]);
                 PreparedKind::Conv2d {
                     geom: *geom,
-                    w,
+                    w: Arc::clone(w),
                     bias: bias.clone(),
                     f,
                     source: TripleSource::Inline(Box::new(lane)),
                     requant: *requant,
                 }
             }
-            TemplateKind::Linear { w_mat, bias, a_shape, out_shape, requant } => {
+            TemplateKind::Linear { w, bias, a_shape, out_shape, requant } => {
                 let span = ctx.span_begin(format!("fc{idx}"), CAT_OFFLINE, &[]);
-                let (lane, b_share) = ctx.expanded_lane(q2, a_shape, w_mat.shape());
-                let (w, f) = gemm_operands(ctx, w_mat, &b_share)?;
+                let (lane, b_share) = ctx.expanded_lane(q2, a_shape, &w.shape());
+                let f = weight_mask_operand(ctx, w, &b_share)?;
                 ctx.span_end_with(span, &[(ARG_SHAPE, shape_str(out_shape).into())]);
                 PreparedKind::Linear {
-                    w,
+                    w: Arc::clone(w),
                     bias: bias.clone(),
                     f,
                     source: TripleSource::Inline(Box::new(lane)),
@@ -529,16 +532,21 @@ fn bind_ops(ctx: &mut PartyContext, ops: &[TemplateOp]) -> Result<Vec<PreparedOp
     Ok(out)
 }
 
-/// A linear layer's session-constant GEMM operands: this party's weight
-/// share and the opened `F = W − B` (the one `offline-f` exchange), each
-/// demoted once to the accumulator width.
-fn gemm_operands(
+/// A linear layer's session-constant weight-mask operand: the opened
+/// `F = W − B` (the one `offline-f` exchange), demoted once to the
+/// accumulator width.
+fn weight_mask_operand(
     ctx: &mut PartyContext,
-    w_mat: &AShare,
+    w: &MatRhs<'_>,
     b_share: &RingTensor,
-) -> Result<(MatRhs<'static>, MatRhs<'static>), ProtocolError> {
-    let f = open_weight_mask(ctx, w_mat, b_share)?;
-    Ok((MatRhs::new(w_mat.as_tensor())?.into_owned(), MatRhs::new(&f)?.into_owned()))
+) -> Result<MatRhs<'static>, ProtocolError> {
+    let f = open_weight_mask(ctx, w, b_share)?;
+    Ok(MatRhs::new(&f)?.into_owned())
+}
+
+/// This party's weight share demoted for the GEMM, once per template.
+fn weight_operand(w_mat: &AShare) -> Arc<MatRhs<'static>> {
+    Arc::new(MatRhs::new(w_mat.as_tensor()).expect("weight share is rank-2").into_owned())
 }
 
 /// Gathers `(label, lane, expand)` for every inline linear layer, in the
@@ -720,7 +728,7 @@ fn build_ops(
                 *cur_shape = vec![*out_c, out_hw.0, out_hw.1];
                 TemplateKind::Conv2d {
                     geom,
-                    w_mat,
+                    w: weight_operand(&w_mat),
                     bias,
                     a_shape,
                     out_shape: cur_shape.clone(),
@@ -753,7 +761,7 @@ fn build_ops(
                 let a_shape = cur_shape.clone();
                 *cur_shape = vec![*out_f];
                 TemplateKind::Linear {
-                    w_mat,
+                    w: weight_operand(&w_mat),
                     bias,
                     a_shape,
                     out_shape: cur_shape.clone(),

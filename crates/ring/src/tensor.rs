@@ -72,7 +72,12 @@ impl RingTensor {
     #[must_use]
     pub fn random<R: Rng + ?Sized>(ring: Ring, shape: Vec<usize>, rng: &mut R) -> Self {
         let len: usize = shape.iter().product();
-        let data = (0..len).map(|_| ring.sample(rng)).collect();
+        let mut data = vec![0; len];
+        rng.fill_u64(&mut data);
+        let mask = ring.mask();
+        for v in &mut data {
+            *v &= mask;
+        }
         RingTensor { ring, shape, data }
     }
 
@@ -303,5 +308,43 @@ mod tests {
         let q16 = Ring::new(16);
         let t = RingTensor::from_raw(q12, vec![1], vec![0b1111_0110_1101]).unwrap();
         assert_eq!(t.recast(q16).get(0), 0b1111_1111_0110_1101);
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv(words: &[u64]) -> u64 {
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Two tensors drawn back to back (the second starts mid-buffer), then
+    /// one more raw word: pins what `random` draws from a generator and
+    /// where it leaves the stream.
+    fn random_fingerprint<R: rand::RngCore>(bits: u32, mut rng: R) -> u64 {
+        let q = Ring::new(bits);
+        let first = RingTensor::random(q, vec![3, 37], &mut rng);
+        let second = RingTensor::random(q, vec![7], &mut rng);
+        assert!(first.as_slice().iter().chain(second.as_slice()).all(|&v| q.contains(v)));
+        let mut words = first.into_raw();
+        words.extend(second.into_raw());
+        words.push(u64::from(rng.next_u32()));
+        fnv(&words)
+    }
+
+    #[test]
+    fn random_streams_are_pinned() {
+        use rand_chacha::ChaCha20Rng;
+        // Captured before `random` drew through `fill_u64`.
+        for (bits, std_fp, chacha_fp) in [
+            (16, 0x93a8_307c_58b3_2e48, 0xd557_9e07_dfd3_bc02),
+            (32, 0xf627_c54a_f2cc_cf11, 0x46c7_0b6f_b13c_e7ca),
+            (64, 0xfd20_9377_b996_14dc, 0xa297_c86f_108e_bb95),
+        ] {
+            let got_std = random_fingerprint(bits, StdRng::seed_from_u64(5));
+            let got_chacha = random_fingerprint(bits, ChaCha20Rng::seed_from_u64(5));
+            assert_eq!(got_std, std_fp, "StdRng stream moved at l = {bits}");
+            assert_eq!(got_chacha, chacha_fp, "ChaCha20Rng stream moved at l = {bits}");
+        }
     }
 }

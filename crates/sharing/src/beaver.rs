@@ -188,6 +188,30 @@ impl<'a> MatRhs<'a> {
         [self.k, self.n]
     }
 
+    /// `self − b` on the ring, widened back to ring elements: a weight
+    /// share minus a lane's `B` share is the `F` share a party opens.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError::ShapeMismatch`] if `b` is not `[k, n]` on
+    /// this operand's ring.
+    pub fn sub(&self, b: &RingTensor) -> Result<RingTensor, ShapeError> {
+        let ring = self.ring;
+        if b.ring() != ring || b.shape() != [self.k, self.n] {
+            return Err(ShapeError::ShapeMismatch {
+                lhs: vec![self.k, self.n],
+                rhs: b.shape().to_vec(),
+            });
+        }
+        let db = b.as_slice();
+        let out = match &self.words {
+            RhsWords::U16(w) => w.iter().zip(db).map(|(&x, &y)| ring.sub(x.into(), y)).collect(),
+            RhsWords::U32(w) => w.iter().zip(db).map(|(&x, &y)| ring.sub(x.into(), y)).collect(),
+            RhsWords::U64(w) => w.iter().zip(db).map(|(&x, &y)| ring.sub(x, y)).collect(),
+        };
+        RingTensor::from_raw(ring, vec![self.k, self.n], out)
+    }
+
     /// `a ⊗ self` on the kernels of [`IsaLevel::active`].
     ///
     /// # Errors
@@ -391,6 +415,23 @@ pub fn ring_hadamard(a: &RingTensor, b: &RingTensor) -> Result<RingTensor, Shape
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `MatRhs::sub` equals `RingTensor::sub` on every accumulator width
+    /// and rejects a `B` of another shape or ring.
+    #[test]
+    fn sub_matches_ring_tensor_sub() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        for bits in [8, 16, 17, 32, 33, 64] {
+            let q = Ring::new(bits);
+            let w = RingTensor::random(q, vec![5, 3], &mut rng);
+            let b = RingTensor::random(q, vec![5, 3], &mut rng);
+            let rhs = MatRhs::new(&w).unwrap();
+            assert_eq!(rhs.sub(&b).unwrap(), w.sub(&b).unwrap(), "bits={bits}");
+            assert!(rhs.sub(&RingTensor::zeros(q, vec![3, 5])).is_err());
+            assert!(rhs.sub(&RingTensor::zeros(Ring::new(bits % 64 + 1), vec![5, 3])).is_err());
+        }
+    }
 
     #[test]
     fn matmul_identity() {

@@ -10,7 +10,7 @@
 //! everything the paper measures — is unchanged.
 
 use crate::beaver::{ring_hadamard, ring_matmul, MatRhs, TripleShare};
-use crate::AShare;
+use crate::{AShare, PartyId};
 use aq2pnn_ring::{Ring, RingTensor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
@@ -86,35 +86,36 @@ impl TripleDealer {
         self.split(a, b, z)
     }
 
-    /// Creates the two parties' halves of a reusable expanded-triple lane
-    /// for one static-shape layer (see [`TripleLane`]), each with that
-    /// party's share of the lane's fixed `B` for the one-time `F = W − B`
-    /// opening. Consumes dealer stream state, so both parties must call in
-    /// the same order with the same arguments.
+    /// Creates `party`'s half of a reusable expanded-triple lane for one
+    /// static-shape layer (see [`TripleLane`]), with that party's share of
+    /// the lane's fixed `B` for the one-time `F = W − B` opening. Both
+    /// halves consume the dealer stream identically, so both parties'
+    /// dealer replicas must call in the same order with the same shapes.
+    /// Only the provider's half demotes `B`: it alone forms `Z`.
     ///
     /// # Panics
     ///
     /// Panics if `b_shape` is not rank-2.
     pub fn expanded_lane(
         &mut self,
+        party: PartyId,
         ring: Ring,
         a_shape: &[usize],
         b_shape: &[usize],
-    ) -> ((TripleLane, RingTensor), (TripleLane, RingTensor)) {
+    ) -> (TripleLane, RingTensor) {
         let b = RingTensor::random(ring, b_shape.to_vec(), &mut self.rng);
         let (b0, b1) = AShare::share(&b, &mut self.rng);
         // Lane-local PRG, identical on both halves so the parties advance
         // their per-inference triple streams in lockstep.
-        let lane_rng = ChaCha20Rng::seed_from_u64(self.rng.gen::<u64>());
-        let lane = |b_plain: Option<MatRhs<'static>>| TripleLane {
-            ring,
-            a_shape: a_shape.to_vec(),
-            n: b_shape[1],
-            b_plain,
-            rng: lane_rng.clone(),
+        let rng = ChaCha20Rng::seed_from_u64(self.rng.gen::<u64>());
+        let (b_plain, b_share) = match party {
+            PartyId::User => (None, b0),
+            PartyId::ModelProvider => {
+                (Some(MatRhs::new(&b).expect("lane B is rank-2").into_owned()), b1)
+            }
         };
-        let b_plain = MatRhs::new(&b).expect("lane B is rank-2").into_owned();
-        ((lane(None), b0.into_tensor()), (lane(Some(b_plain)), b1.into_tensor()))
+        let lane = TripleLane { ring, a_shape: a_shape.to_vec(), n: b_shape[1], b_plain, rng };
+        (lane, b_share.into_tensor())
     }
 
     /// Samples an elementwise (Hadamard) triple over `shape`.
@@ -308,9 +309,11 @@ mod tests {
 
     #[test]
     fn lane_triples_consistent_with_fixed_b_and_fresh_a() {
-        let mut d = TripleDealer::from_seed(11);
+        let mut d0 = TripleDealer::from_seed(11);
+        let mut d1 = d0.clone();
         let q = Ring::new(16);
-        let ((mut l0, b0), (mut l1, b1)) = d.expanded_lane(q, &[3, 4], &[4, 2]);
+        let (mut l0, b0) = d0.expanded_lane(PartyId::User, q, &[3, 4], &[4, 2]);
+        let (mut l1, b1) = d1.expanded_lane(PartyId::ModelProvider, q, &[3, 4], &[4, 2]);
         let b = b0.add(&b1).unwrap();
         let ident = |t: &RingTensor| t.clone();
         let (t0a, t1a) = (l0.next(ident), l1.next(ident));

@@ -281,8 +281,11 @@ fn lane_streams_reconstruct_z_and_party0_stream_is_unchanged() {
         (40, 0xda2e_de0e_a13f_74a5),
     ];
     for (bits, want) in pinned {
-        let mut d = TripleDealer::from_seed(0x1a7e_0000 + u64::from(bits));
-        let ((mut l0, b0), (mut l1, b1)) = d.expanded_lane(Ring::new(bits), &[3, 5], &[5, 7]);
+        let mut d0 = TripleDealer::from_seed(0x1a7e_0000 + u64::from(bits));
+        let mut d1 = d0.clone();
+        let q = Ring::new(bits);
+        let (mut l0, b0) = d0.expanded_lane(PartyId::User, q, &[3, 5], &[5, 7]);
+        let (mut l1, b1) = d1.expanded_lane(PartyId::ModelProvider, q, &[3, 5], &[5, 7]);
         let b = b0.add(&b1).unwrap();
         let (mut draws0, mut draws1) = (Vec::new(), Vec::new());
         for _ in 0..3 {

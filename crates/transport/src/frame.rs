@@ -37,6 +37,7 @@
 //! DESIGN.md §9.
 
 use crate::TransportError;
+use bytes::Bytes;
 
 /// Frame header length in bytes.
 pub const FRAME_HEADER_LEN: usize = 36;
@@ -94,21 +95,22 @@ pub struct Frame {
     pub seq: u64,
     /// Reserved (version 2's cumulative ack); sessions write 0.
     pub ack: u64,
-    /// Application payload (empty for control frames).
-    pub payload: Vec<u8>,
+    /// Application payload (empty for control frames). A decoded frame's
+    /// payload is a slice of the received buffer, not a copy.
+    pub payload: Bytes,
 }
 
 impl Frame {
     /// Builds a control frame (no payload, stream 0).
     #[must_use]
     pub fn control(kind: FrameKind, seq: u64, ack: u64) -> Self {
-        Frame { kind, stream: 0, seq, ack, payload: Vec::new() }
+        Frame { kind, stream: 0, seq, ack, payload: Bytes::from_static(&[]) }
     }
 
     /// Builds a data frame (stream 0).
     #[must_use]
     pub fn data(seq: u64, payload: Vec<u8>) -> Self {
-        Frame { kind: FrameKind::Data, stream: 0, seq, ack: 0, payload }
+        Frame { kind: FrameKind::Data, stream: 0, seq, ack: 0, payload: payload.into() }
     }
 
     /// Returns the frame re-stamped onto `stream`.
@@ -132,7 +134,8 @@ impl Frame {
         encode_parts(FrameKind::Data, stream, seq, 0, payload)
     }
 
-    /// Parses and validates one frame.
+    /// Parses and validates one frame. The payload is kept as a slice of
+    /// `bytes`, so decoding copies nothing.
     ///
     /// # Errors
     ///
@@ -140,7 +143,7 @@ impl Frame {
     /// ours (e.g. a version-2 peer that still expects acks); [`TransportError::Corrupt`] when
     /// the magic, kind, length or checksum is wrong. The error text names
     /// the malformed *field*; it never echoes payload bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Frame, TransportError> {
+    pub fn decode(bytes: &Bytes) -> Result<Frame, TransportError> {
         if bytes.len() < FRAME_HEADER_LEN {
             return Err(TransportError::Corrupt(format!(
                 "frame shorter than header: {} < {FRAME_HEADER_LEN} bytes",
@@ -176,7 +179,7 @@ impl Frame {
         if crc.finish() != stored_crc {
             return Err(TransportError::Corrupt("checksum mismatch".into()));
         }
-        Ok(Frame { kind, stream, seq, ack, payload: bytes[FRAME_HEADER_LEN..].to_vec() })
+        Ok(Frame { kind, stream, seq, ack, payload: bytes.slice(FRAME_HEADER_LEN..) })
     }
 }
 
@@ -198,13 +201,18 @@ fn encode_parts(kind: FrameKind, stream: u64, seq: u64, ack: u64, payload: &[u8]
     out
 }
 
-/// Incremental CRC-32 (IEEE 802.3 polynomial, reflected).
+/// Incremental CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8:
+/// eight bytes per step through eight lookup tables, the tail byte by
+/// byte through the first.
 pub struct Crc32 {
     state: u32,
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight lookups, one
+/// per byte of a little-endian word, advance the state by eight bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -213,13 +221,23 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 impl Crc32 {
     /// Fresh checksum state.
@@ -230,10 +248,25 @@ impl Crc32 {
 
     /// Feeds `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state =
-                CRC_TABLE[((self.state ^ u32::from(b)) & 0xFF) as usize] ^ (self.state >> 8);
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+            let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     /// Final checksum value.
@@ -253,6 +286,18 @@ impl Default for Crc32 {
 mod tests {
     use super::*;
 
+    fn decode(bytes: &[u8]) -> Result<Frame, TransportError> {
+        Frame::decode(&Bytes::from(bytes.to_vec()))
+    }
+
+    #[test]
+    fn decoded_payload_is_a_slice_of_the_received_buffer() {
+        let wire = Bytes::from(Frame::data(3, vec![9, 8, 7]).encode());
+        let frame = Frame::decode(&wire).unwrap();
+        assert_eq!(&frame.payload[..], &[9, 8, 7]);
+        assert_eq!(frame.payload.as_ptr(), wire[FRAME_HEADER_LEN..].as_ptr());
+    }
+
     #[test]
     fn crc32_known_vector() {
         // CRC-32("123456789") = 0xCBF43926, the standard check value.
@@ -261,20 +306,45 @@ mod tests {
         assert_eq!(c.finish(), 0xCBF4_3926);
     }
 
+    /// The one-table, byte-at-a-time CRC the sliced update must equal.
+    fn bytewise_crc(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
+            CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8)
+        })
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_reference() {
+        let data: Vec<u8> =
+            (0..300u32).map(|i| (i.wrapping_mul(0x9E37_79B1) >> 13) as u8).collect();
+        for len in 0..=data.len() {
+            let mut c = Crc32::new();
+            c.update(&data[..len]);
+            assert_eq!(c.finish(), bytewise_crc(&data[..len]), "length {len}");
+        }
+        let want = bytewise_crc(&data);
+        for split in 0..=data.len() {
+            let mut c = Crc32::new();
+            c.update(&data[..split]);
+            c.update(&data[split..]);
+            assert_eq!(c.finish(), want, "split at {split}");
+        }
+    }
+
     #[test]
     fn roundtrip_data_and_control() {
         let d = Frame::data(42, vec![1, 2, 3, 250]);
-        assert_eq!(Frame::decode(&d.encode()).unwrap(), d);
+        assert_eq!(decode(&d.encode()).unwrap(), d);
         let c = Frame::control(FrameKind::Hello, 9, 0);
-        assert_eq!(Frame::decode(&c.encode()).unwrap(), c);
+        assert_eq!(decode(&c.encode()).unwrap(), c);
         let s = Frame::control(FrameKind::Shed, 0, 0);
-        assert_eq!(Frame::decode(&s.encode()).unwrap(), s);
+        assert_eq!(decode(&s.encode()).unwrap(), s);
     }
 
     #[test]
     fn stream_id_roundtrips() {
         let d = Frame::data(5, vec![7; 9]).on_stream(0xDEAD_BEEF_CAFE);
-        let back = Frame::decode(&d.encode()).unwrap();
+        let back = decode(&d.encode()).unwrap();
         assert_eq!(back.stream, 0xDEAD_BEEF_CAFE);
         assert_eq!(back, d);
     }
@@ -290,7 +360,7 @@ mod tests {
     #[test]
     fn empty_payload_roundtrip() {
         let d = Frame::data(0, Vec::new());
-        assert_eq!(Frame::decode(&d.encode()).unwrap(), d);
+        assert_eq!(decode(&d.encode()).unwrap(), d);
     }
 
     #[test]
@@ -300,7 +370,7 @@ mod tests {
             for bit in 0..8 {
                 let mut bad = encoded.clone();
                 bad[i] ^= 1 << bit;
-                assert!(Frame::decode(&bad).is_err(), "flip of byte {i} bit {bit} went undetected");
+                assert!(decode(&bad).is_err(), "flip of byte {i} bit {bit} went undetected");
             }
         }
     }
@@ -325,7 +395,7 @@ mod tests {
         while v1.len() < FRAME_HEADER_LEN {
             v1.push(0);
         }
-        assert_eq!(Frame::decode(&v1), Err(TransportError::VersionMismatch { ours: 3, theirs: 1 }));
+        assert_eq!(decode(&v1), Err(TransportError::VersionMismatch { ours: 3, theirs: 1 }));
     }
 
     #[test]
@@ -334,23 +404,23 @@ mod tests {
         // this version never sends.
         let mut v2 = Frame::data(0, vec![1]).encode();
         v2[2] = 2;
-        assert_eq!(Frame::decode(&v2), Err(TransportError::VersionMismatch { ours: 3, theirs: 2 }));
+        assert_eq!(decode(&v2), Err(TransportError::VersionMismatch { ours: 3, theirs: 2 }));
     }
 
     #[test]
     fn truncation_and_padding_detected() {
         let encoded = Frame::data(1, vec![9; 16]).encode();
-        assert!(Frame::decode(&encoded[..encoded.len() - 1]).is_err());
+        assert!(decode(&encoded[..encoded.len() - 1]).is_err());
         let mut padded = encoded;
         padded.push(0);
-        assert!(Frame::decode(&padded).is_err());
-        assert!(Frame::decode(&[]).is_err());
+        assert!(decode(&padded).is_err());
+        assert!(decode(&[]).is_err());
     }
 
     #[test]
     fn oversized_length_field_rejected_without_allocation() {
         let mut encoded = Frame::data(1, vec![0; 8]).encode();
         encoded[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(Frame::decode(&encoded), Err(TransportError::Corrupt(_))));
+        assert!(matches!(decode(&encoded), Err(TransportError::Corrupt(_))));
     }
 }

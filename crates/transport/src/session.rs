@@ -135,7 +135,7 @@ impl Session {
             return Err(TransportError::SequenceGap { expected, got: frame.seq });
         }
         self.next_recv_seq.store(expected + 1, Ordering::Relaxed);
-        Ok(Bytes::from(frame.payload))
+        Ok(frame.payload)
     }
 }
 

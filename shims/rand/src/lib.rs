@@ -17,6 +17,14 @@ pub trait RngCore {
     fn next_u64(&mut self) -> u64;
     /// Fills `dest` with random bytes.
     fn fill_bytes(&mut self, dest: &mut [u8]);
+    /// Fills `dest` with the next `dest.len()` values of [`Self::next_u64`].
+    /// Generators that buffer their output override it with a bulk copy;
+    /// the stream is the same either way.
+    fn fill_u64(&mut self, dest: &mut [u64]) {
+        for d in dest {
+            *d = self.next_u64();
+        }
+    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -28,6 +36,9 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     }
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest);
+    }
+    fn fill_u64(&mut self, dest: &mut [u64]) {
+        (**self).fill_u64(dest);
     }
 }
 
@@ -252,6 +263,47 @@ mod tests {
         let mut buf = [0u8; 13];
         rng.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
+    }
+
+    #[test]
+    fn default_fill_u64_is_a_next_u64_loop() {
+        let mut a = StdRng::seed_from_u64(5);
+        let mut b = a.clone();
+        let mut got = [0u64; 9];
+        a.fill_u64(&mut got);
+        let want: Vec<u64> = (0..9).map(|_| b.next_u64()).collect();
+        assert_eq!(got[..], want[..]);
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    /// A generator whose `fill_u64` is told apart from a `next_u64` loop.
+    struct Marked;
+
+    impl RngCore for Marked {
+        fn next_u32(&mut self) -> u32 {
+            0
+        }
+        fn next_u64(&mut self) -> u64 {
+            0
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {}
+        fn fill_u64(&mut self, dest: &mut [u64]) {
+            dest.fill(7);
+        }
+    }
+
+    #[test]
+    fn fill_u64_forwards_through_references() {
+        fn fill<R: RngCore + ?Sized>(rng: &mut R, dest: &mut [u64]) {
+            rng.fill_u64(dest);
+        }
+        let mut dest = [0u64; 3];
+        fill(&mut &mut Marked, &mut dest);
+        assert_eq!(dest, [7; 3]);
+        let dyn_rng: &mut dyn RngCore = &mut Marked;
+        let mut dest = [0u64; 2];
+        fill(&mut &mut *dyn_rng, &mut dest);
+        assert_eq!(dest, [7; 2]);
     }
 
     #[test]

@@ -217,7 +217,7 @@ fn dealer_exhaustion_surfaces_typed_error() {
     let ctx = PartyContext::new(PartyId::User, e0, cfg, None);
 
     let mut dealer = TripleDealer::from_seed(0xd00d);
-    let ((lane, _b_share), _peer) = dealer.expanded_lane(Ring::new(16), &[1, 4], &[4, 3]);
+    let (lane, _b_share) = dealer.expanded_lane(PartyId::User, Ring::new(16), &[1, 4], &[4, 3]);
     let expand: ExpandFn = Box::new(RingTensor::clone);
     let pool = DealerPool::new(
         &ctx,

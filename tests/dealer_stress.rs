@@ -36,7 +36,8 @@ fn mpmc_storm_preserves_stream_order_and_wakeups() {
     let mut dealer = TripleDealer::from_seed(0xdea1e5);
     // The provider's half: it forms `Z = expand(A) ⊗ B` on every draw, so
     // the refill loop does real GEMM work while the consumers race it.
-    let (_user, (lane, _b_share)) = dealer.expanded_lane(Ring::new(16), &[1, 4], &[4, 3]);
+    let (lane, _b_share) =
+        dealer.expanded_lane(PartyId::ModelProvider, Ring::new(16), &[1, 4], &[4, 3]);
 
     // The lane's RNG stream *is* the ground truth: a clone of the lane
     // replays exactly the material the pool will hand out.
